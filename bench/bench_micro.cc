@@ -408,6 +408,28 @@ void BM_AnnealSweeps(benchmark::State& state) {
 }
 BENCHMARK(BM_AnnealSweeps)->Arg(64)->Arg(256)->Arg(1024);
 
+// Tabu on the shape the optimizer batches send it: an 8-query x 4-plan MQO
+// QUBO (32 variables, exactly-one penalties within each query plus shared
+// savings across queries). Every iteration scans all 32 flip deltas and
+// takes one, so items are tabu iterations.
+void BM_TabuIterations(benchmark::State& state) {
+  qdm::Rng gen_rng(5);
+  const qdm::anneal::Qubo qubo = qdm::qopt::MqoToQubo(
+      qdm::qopt::GenerateMqoProblem(8, 4, 0.3, &gen_rng));
+  auto tabu = qdm::anneal::SolverRegistry::Global().Create("tabu_search");
+  QDM_CHECK(tabu.ok()) << tabu.status();
+  qdm::anneal::SolverOptions options;
+  options.num_reads = 1;
+  options.max_iterations = 500;
+  options.seed = 5;
+  for (auto _ : state) {
+    auto set = (*tabu)->Solve(qubo, options);
+    benchmark::DoNotOptimize(set->best().energy);
+  }
+  state.SetItemsProcessed(state.iterations() * options.max_iterations);
+}
+BENCHMARK(BM_TabuIterations);
+
 void BM_MqoQuboBuild(benchmark::State& state) {
   qdm::Rng rng(2);
   auto problem = qdm::qopt::GenerateMqoProblem(

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "qdm/anneal/frozen_qubo.h"
 #include "qdm/common/check.h"
 #include "qdm/common/strings.h"
 
@@ -136,8 +138,12 @@ Result<EmbeddedQubo> EmbedQubo(const Qubo& logical, const Embedding& embedding,
   return out;
 }
 
-Sample Unembed(const Qubo& logical, const EmbeddedQubo& embedded,
-               const Sample& physical_sample, ChainBreakPolicy policy) {
+namespace {
+
+// Unembed against a model frozen once per sample set: the kMinimizeEnergy
+// repair reads one O(deg) local field per broken chain.
+Sample UnembedFrozen(const FrozenQubo& logical, const EmbeddedQubo& embedded,
+                     const Sample& physical_sample, ChainBreakPolicy policy) {
   const int n = logical.num_variables();
   Assignment x(n, 0);
   std::vector<bool> chain_broken(n, false);
@@ -157,7 +163,9 @@ Sample Unembed(const Qubo& logical, const EmbeddedQubo& embedded,
     // Deterministic single-pass repair: flip each broken chain's value when
     // that lowers the logical energy given the current assignment.
     for (int i = 0; i < n; ++i) {
-      if (chain_broken[i] && logical.FlipDelta(x, i) < 0.0) x[i] = 1 - x[i];
+      if (!chain_broken[i]) continue;
+      const double field = logical.Field(x, i);
+      if ((x[i] ? -field : field) < 0.0) x[i] = 1 - x[i];
     }
   }
   Sample out;
@@ -167,11 +175,20 @@ Sample Unembed(const Qubo& logical, const EmbeddedQubo& embedded,
   return out;
 }
 
+}  // namespace
+
+Sample Unembed(const Qubo& logical, const EmbeddedQubo& embedded,
+               const Sample& physical_sample, ChainBreakPolicy policy) {
+  return UnembedFrozen(FrozenQubo(logical), embedded, physical_sample,
+                       policy);
+}
+
 SampleSet UnembedAll(const Qubo& logical, const EmbeddedQubo& embedded,
                      const SampleSet& physical, ChainBreakPolicy policy) {
+  const FrozenQubo model(logical);
   SampleSet logical_set;
   for (const Sample& s : physical.samples()) {
-    Sample unembedded = Unembed(logical, embedded, s, policy);
+    Sample unembedded = UnembedFrozen(model, embedded, s, policy);
     if (policy == ChainBreakPolicy::kDiscard &&
         unembedded.chain_break_fraction > 0.0) {
       continue;
@@ -183,8 +200,8 @@ SampleSet UnembedAll(const Qubo& logical, const EmbeddedQubo& embedded,
     // All samples broken: fall back to majority vote rather than returning
     // an empty set (see ChainBreakPolicy::kDiscard).
     for (const Sample& s : physical.samples()) {
-      logical_set.Add(Unembed(logical, embedded, s,
-                              ChainBreakPolicy::kMajorityVote));
+      logical_set.Add(UnembedFrozen(model, embedded, s,
+                                    ChainBreakPolicy::kMajorityVote));
     }
   }
   return logical_set;

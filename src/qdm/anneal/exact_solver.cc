@@ -1,6 +1,6 @@
 #include "qdm/anneal/exact_solver.h"
 
-#include "qdm/anneal/simulated_annealing.h"
+#include "qdm/anneal/frozen_qubo.h"
 #include "qdm/common/check.h"
 
 namespace qdm {
@@ -9,25 +9,25 @@ namespace anneal {
 Sample ExactSolver::Solve(const Qubo& qubo) {
   const int n = qubo.num_variables();
   QDM_CHECK_LE(n, 30) << "ExactSolver enumerates 2^n assignments";
-  const QuboAdjacency adj(qubo);
+  const FrozenQubo model(qubo);
 
-  Assignment x(n, 0);
-  double energy = adj.Energy(x);
-  Assignment best = x;
+  LocalFields walker(model, Assignment(n, 0));
+  double energy = model.Energy(walker.x());
+  Assignment best = walker.x();
   double best_energy = energy;
 
   // Gray-code walk: step k flips bit ctz(k).
   const uint64_t total = uint64_t{1} << n;
   for (uint64_t k = 1; k < total; ++k) {
     const int bit = __builtin_ctzll(k);
-    energy += adj.FlipDelta(x, bit);
-    x[bit] ^= 1;
+    energy += walker.Delta(bit);
+    walker.Flip(bit);
     if (energy < best_energy) {
       best_energy = energy;
-      best = x;
+      best = walker.x();
     }
   }
-  return Sample{best, best_energy, 0.0};
+  return Sample{best, model.Energy(best), 0.0};
 }
 
 SampleSet ExactSolver::SampleQubo(const Qubo& qubo, int /*num_reads*/,

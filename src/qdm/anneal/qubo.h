@@ -46,7 +46,9 @@ class Qubo {
   /// E(x) for a full assignment.
   double Energy(const Assignment& x) const;
 
-  /// Energy change from flipping variable i in assignment x. O(deg(i)).
+  /// Energy change from flipping variable i in assignment x. O(|E|): the
+  /// term map is keyed by (min, max), so finding the terms (k, i) scans it.
+  /// Hot loops freeze the model once (frozen_qubo.h) and read local fields.
   double FlipDelta(const Assignment& x, int i) const;
 
   // -- Constraint-to-penalty helpers (the standard QUBO encodings) -----------

@@ -1,70 +1,26 @@
 #include "qdm/anneal/simulated_annealing.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "qdm/anneal/frozen_qubo.h"
 #include "qdm/common/check.h"
 
 namespace qdm {
 namespace anneal {
 
-QuboAdjacency::QuboAdjacency(const Qubo& qubo)
-    : num_variables_(qubo.num_variables()),
-      offset_(qubo.offset()),
-      linear_(qubo.num_variables()) {
-  adjacency_.resize(num_variables_);
-  double min_nonzero = 0.0;
-  for (int i = 0; i < num_variables_; ++i) {
-    linear_[i] = qubo.linear(i);
-    if (linear_[i] != 0.0) {
-      max_abs_coefficient_ =
-          std::max(max_abs_coefficient_, std::abs(linear_[i]));
-      min_nonzero = min_nonzero == 0.0 ? std::abs(linear_[i])
-                                       : std::min(min_nonzero,
-                                                  std::abs(linear_[i]));
-    }
-  }
-  for (const auto& [key, w] : qubo.quadratic_terms()) {
-    if (w == 0.0) continue;
-    adjacency_[key.first].push_back({key.second, w});
-    adjacency_[key.second].push_back({key.first, w});
-    max_abs_coefficient_ = std::max(max_abs_coefficient_, std::abs(w));
-    min_nonzero = min_nonzero == 0.0 ? std::abs(w)
-                                     : std::min(min_nonzero, std::abs(w));
-  }
-  min_abs_coefficient_ = min_nonzero;
-}
-
-double QuboAdjacency::Energy(const Assignment& x) const {
-  double e = offset_;
-  for (int i = 0; i < num_variables_; ++i) {
-    if (!x[i]) continue;
-    e += linear_[i];
-    for (const Edge& edge : adjacency_[i]) {
-      if (edge.neighbor > i && x[edge.neighbor]) e += edge.weight;
-    }
-  }
-  return e;
-}
-
-double QuboAdjacency::FlipDelta(const Assignment& x, int i) const {
-  double field = linear_[i];
-  for (const Edge& edge : adjacency_[i]) {
-    if (x[edge.neighbor]) field += edge.weight;
-  }
-  return x[i] ? -field : field;
-}
-
 SampleSet SimulatedAnnealer::SampleQubo(const Qubo& qubo, int num_reads,
                                         Rng* rng) {
   QDM_CHECK_GT(num_reads, 0);
-  const QuboAdjacency adj(qubo);
-  const int n = adj.num_variables();
+  const FrozenQubo model(qubo);
+  const int n = model.num_variables();
 
   double beta_min = schedule_.beta_min;
   double beta_max = schedule_.beta_max;
   if (beta_max <= 0.0) {
-    const double hottest = std::max(adj.max_abs_coefficient(), 1e-9);
-    const double coldest = std::max(adj.min_abs_coefficient(), 1e-9);
+    const double hottest = std::max(model.max_abs_coefficient(), 1e-9);
+    const double coldest = std::max(model.min_abs_coefficient(), 1e-9);
     beta_min = 0.1 / hottest;   // Hot: accepts nearly everything.
     beta_max = 10.0 / coldest;  // Cold: freezes the smallest excitation.
   }
@@ -78,19 +34,18 @@ SampleSet SimulatedAnnealer::SampleQubo(const Qubo& qubo, int num_reads,
   for (int read = 0; read < num_reads; ++read) {
     Assignment x(n);
     for (int i = 0; i < n; ++i) x[i] = rng->Bernoulli(0.5) ? 1 : 0;
-    double energy = adj.Energy(x);
+    LocalFields walker(model, std::move(x));
 
     double beta = beta_min;
     for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
       for (int i = 0; i < n; ++i) {
-        const double delta = adj.FlipDelta(x, i);
+        const double delta = walker.Delta(i);
         if (delta <= 0.0 || rng->Uniform() < std::exp(-beta * delta)) {
-          x[i] ^= 1;
-          energy += delta;
+          walker.Flip(i);
         }
       }
     }
-    result.Add(Sample{x, energy, 0.0});
+    result.Add(Sample{walker.x(), model.Energy(walker.x()), 0.0});
   }
   return result;
 }

@@ -38,34 +38,6 @@ class SimulatedAnnealer : public Sampler {
   AnnealSchedule schedule_;
 };
 
-/// Internal workhorse shared by the annealing-family samplers: a flat
-/// adjacency representation of a Qubo with O(deg) flip deltas.
-class QuboAdjacency {
- public:
-  explicit QuboAdjacency(const Qubo& qubo);
-
-  int num_variables() const { return num_variables_; }
-  double Energy(const Assignment& x) const;
-  /// Energy delta of flipping x[i].
-  double FlipDelta(const Assignment& x, int i) const;
-
-  double max_abs_coefficient() const { return max_abs_coefficient_; }
-  /// Smallest nonzero |coefficient|.
-  double min_abs_coefficient() const { return min_abs_coefficient_; }
-
- private:
-  struct Edge {
-    int neighbor;
-    double weight;
-  };
-  int num_variables_;
-  double offset_;
-  double max_abs_coefficient_ = 0.0;
-  double min_abs_coefficient_ = 0.0;
-  std::vector<double> linear_;
-  std::vector<std::vector<Edge>> adjacency_;
-};
-
 }  // namespace anneal
 }  // namespace qdm
 

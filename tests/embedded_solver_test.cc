@@ -264,6 +264,46 @@ TEST(ChainBreakPolicyTest, DiscardDropsBrokenSamplesButNeverReturnsEmpty) {
   EXPECT_GT(fallback.best().chain_break_fraction, 0.0);
 }
 
+TEST(ChainBreakPolicyTest, MinimizeEnergyRepairMatchesFlipDeltaReference) {
+  // The repair reads local fields from a model frozen once per sample set.
+  // On random QUBOs and random (mostly broken) physical samples it must take
+  // exactly the flips of the plain rule: one pass, flip a broken chain when
+  // Qubo::FlipDelta is negative.
+  Rng rng(61);
+  const ChimeraGraph graph{2, 2, 4};
+  for (int trial = 0; trial < 50; ++trial) {
+    Qubo logical(6);
+    for (int i = 0; i < 6; ++i) logical.AddLinear(i, rng.Uniform(-2, 2));
+    for (int i = 0; i < 6; ++i) {
+      for (int j = i + 1; j < 6; ++j) {
+        logical.AddQuadratic(i, j, rng.Uniform(-2, 2));
+      }
+    }
+    auto embedding = CliqueEmbedding(6, graph);
+    ASSERT_TRUE(embedding.ok()) << embedding.status();
+    auto embedded = EmbedQubo(logical, *embedding, graph, 1.0);
+    ASSERT_TRUE(embedded.ok()) << embedded.status();
+    Sample physical;
+    physical.assignment.resize(graph.num_qubits());
+    for (int& bit : physical.assignment) bit = rng.Bernoulli(0.5) ? 1 : 0;
+
+    Assignment expected = Unembed(logical, *embedded, physical).assignment;
+    for (int i = 0; i < 6; ++i) {
+      int ones = 0;
+      for (int q : embedding->chains[i]) ones += physical.assignment[q];
+      const bool broken =
+          ones != 0 && ones != static_cast<int>(embedding->chains[i].size());
+      if (broken && logical.FlipDelta(expected, i) < 0.0) {
+        expected[i] ^= 1;
+      }
+    }
+    const Sample repaired = Unembed(logical, *embedded, physical,
+                                    ChainBreakPolicy::kMinimizeEnergy);
+    EXPECT_EQ(repaired.assignment, expected) << "trial " << trial;
+    EXPECT_EQ(repaired.energy, logical.Energy(expected)) << "trial " << trial;
+  }
+}
+
 TEST(ChainBreakPolicyTest, PoliciesAgreeWhenChainsHold) {
   // With auto (strong) chain strength and a seeded backend, no chain breaks
   // and all three policies return bit-identical SampleSets.
