@@ -30,9 +30,11 @@ int main() {
   qdm::TablePrinter table({"Figure-2 arm", "backend", "best cost", "optimal?"});
   // Every arm is dispatched by registry name — the same MQO instance flows
   // through interchangeable annealing, classical, and gate-based backends.
+  // Arm k solves with seed 2024 + k.
+  uint64_t next_seed = 2024;
   auto report = [&](const std::string& arm, const std::string& solver_name,
                     qdm::anneal::SolverOptions options) {
-    options.rng = &rng;
+    options.seed = next_seed++;
     auto set = qdm::anneal::SolveWith(solver_name, qubo, options);
     QDM_CHECK(set.ok()) << set.status();
     auto decoded = qdm::qopt::DecodeMqoSample(problem, set->best().assignment);

@@ -14,13 +14,12 @@
 //       to scripts/perf_gate.py (--sweep-only --json PATH).
 
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qdm/algo/qaoa.h"
 #include "qdm/anneal/backend_cache.h"
-#include "qdm/anneal/chimera.h"
 #include "qdm/anneal/embedded_solver.h"
 #include "qdm/anneal/embedding.h"
 #include "qdm/anneal/solver.h"
@@ -104,25 +103,26 @@ int main(int argc, char** argv) {
     QDM_CHECK(ground.ok()) << ground.status();
     const double optimum = ground->best().energy;
 
-    // (2) Chain-strength sweep on Chimera-embedded annealing. The base
-    // annealer comes from the registry and is adapted back to the Sampler
-    // interface for the embedding combinator.
+    // (2) Chain-strength sweep on Chimera-embedded annealing, through the
+    // registry's embedded backend. Solve k of sections (2)-(3) runs with
+    // seed 2024 + k.
+    uint64_t next_seed = 2024;
+    qdm::anneal::SolverOptions sweep_options;
+    sweep_options.num_sweeps = 400;
     qdm::TablePrinter chains({"chain strength", "success rate",
                               "mean chain breaks"});
-    auto base_solver = registry.Create("simulated_annealing");
-    QDM_CHECK(base_solver.ok()) << base_solver.status();
-    std::unique_ptr<qdm::anneal::Sampler> base = qdm::anneal::WrapAsSampler(
-        std::move(*base_solver), {.num_sweeps = 400});
     for (double strength : {0.05, 0.2, 1.0, 5.0, 25.0, 125.0}) {
-      qdm::anneal::EmbeddedSampler sampler(
-          base.get(), std::make_shared<qdm::anneal::ChimeraGraph>(2, 2, 4),
-          strength);
-      qdm::anneal::SampleSet set = sampler.SampleQubo(qubo, 30, &rng);
+      sweep_options.num_reads = 30;
+      sweep_options.seed = next_seed++;
+      sweep_options.chain_strength = strength;
+      auto set = qdm::anneal::SolveWith(
+          "embedded:simulated_annealing:chimera:2x2x4", qubo, sweep_options);
+      QDM_CHECK(set.ok()) << set.status();
       double breaks = 0;
-      for (const auto& s : set.samples()) breaks += s.chain_break_fraction;
+      for (const auto& s : set->samples()) breaks += s.chain_break_fraction;
       chains.AddRow({qdm::StrFormat("%.2f", strength),
-                     qdm::StrFormat("%.2f", set.SuccessRate(optimum)),
-                     qdm::StrFormat("%.3f", breaks / set.size())});
+                     qdm::StrFormat("%.2f", set->SuccessRate(optimum)),
+                     qdm::StrFormat("%.3f", breaks / set->size())});
     }
     std::printf(
         "E14.2: chain-strength sweep (8 logical vars on C(2,2,4))\n%s\n",
@@ -143,9 +143,13 @@ int main(int argc, char** argv) {
                                                    // fine for a relative sweep.
       qdm::anneal::Qubo swept =
           qdm::qopt::MqoToQubo(problem, scale * auto_penalty);
-      qdm::anneal::SampleSet set = base->SampleQubo(swept, 40, &rng);
+      sweep_options.num_reads = 40;
+      sweep_options.seed = next_seed++;
+      auto set =
+          qdm::anneal::SolveWith("simulated_annealing", swept, sweep_options);
+      QDM_CHECK(set.ok()) << set.status();
       int feasible = 0, optimal_hits = 0;
-      for (const auto& s : set.samples()) {
+      for (const auto& s : set->samples()) {
         auto decoded = qdm::qopt::DecodeMqoSample(problem, s.assignment);
         if (decoded.feasible) {
           ++feasible;

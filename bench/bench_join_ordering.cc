@@ -112,6 +112,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   qdm::Rng rng(2024);
+  // Solve k of this report runs with seed 2024 + k.
+  uint64_t next_seed = 2024;
   qdm::TablePrinter table({"shape", "n", "anneal/opt", "tabu/opt",
                            "proxy-opt/opt", "greedy/opt", "log10 random/opt",
                            "bushy gain", "feasible"});
@@ -139,7 +141,7 @@ int main(int argc, char** argv) {
         qdm::anneal::SolverOptions anneal_options;
         anneal_options.num_sweeps = 300 * n;
         anneal_options.num_reads = 4 * n;
-        anneal_options.rng = &rng;
+        anneal_options.seed = next_seed++;
         auto annealed = qdm::qopt::SolveJoinOrder(g, "simulated_annealing",
                                                   anneal_options);
         QDM_CHECK(annealed.ok()) << annealed.status();
@@ -151,7 +153,7 @@ int main(int argc, char** argv) {
         qdm::anneal::SolverOptions tabu_options;
         tabu_options.max_iterations = 400 * n;
         tabu_options.num_reads = 2 * n;
-        tabu_options.rng = &rng;
+        tabu_options.seed = next_seed++;
         auto tabu = qdm::qopt::SolveJoinOrder(g, "tabu_search", tabu_options);
         QDM_CHECK(tabu.ok()) << tabu.status();
         log_tabu +=

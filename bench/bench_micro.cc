@@ -399,7 +399,7 @@ void BM_AnnealSweeps(benchmark::State& state) {
   qdm::anneal::SolverOptions options;
   options.num_reads = 1;
   options.num_sweeps = 100;
-  options.rng = &rng;
+  options.seed = 1;
   for (auto _ : state) {
     auto set = (*annealer)->Solve(qubo, options);
     benchmark::DoNotOptimize(set->best().energy);

@@ -293,6 +293,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   qdm::Rng rng(2024);
+  // Solve k of this report runs with seed 2024 + k.
+  uint64_t next_seed = 2024;
   qdm::TablePrinter table({"queries", "sharing", "vars", "exhaustive ms",
                            "anneal ms", "anneal/opt", "tabu ms", "tabu/opt",
                            "pipeline speedup"});
@@ -317,7 +319,7 @@ int main(int argc, char** argv) {
       pt_options.num_replicas = 12;
       pt_options.num_sweeps = 500;
       pt_options.num_reads = 2 * queries;
-      pt_options.rng = &rng;
+      pt_options.seed = next_seed++;
       auto start_anneal = std::chrono::steady_clock::now();
       auto samples = (*annealer)->Solve(qubo, pt_options);
       const double anneal_ms = MillisSince(start_anneal);
@@ -332,7 +334,7 @@ int main(int argc, char** argv) {
       qdm::anneal::SolverOptions tabu_options;
       tabu_options.max_iterations = 2000;
       tabu_options.num_reads = 2 * queries;
-      tabu_options.rng = &rng;
+      tabu_options.seed = next_seed++;
       auto start_tabu = std::chrono::steady_clock::now();
       auto tabu_samples = (*tabu)->Solve(qubo, tabu_options);
       const double tabu_ms = MillisSince(start_tabu);

@@ -13,6 +13,8 @@
 
 int main() {
   qdm::Rng rng(2024);
+  // Solve k of this report runs with seed 2024 + k.
+  uint64_t next_seed = 2024;
   qdm::TablePrinter table({"attrs", "noise", "hungarian", "qubo-exact",
                            "anneal", "qaoa", "greedy"});
 
@@ -38,7 +40,7 @@ int main() {
         qdm::anneal::SolverOptions anneal_options;
         anneal_options.num_sweeps = 600;
         anneal_options.num_reads = 20;
-        anneal_options.rng = &rng;
+        anneal_options.seed = next_seed++;
         auto decoded = qdm::qopt::SolveSchemaMatching(
             problem, "simulated_annealing", anneal_options);
         QDM_CHECK(decoded.ok()) << decoded.status();
@@ -50,7 +52,7 @@ int main() {
           qaoa_options.layers = 2;
           qaoa_options.restarts = 2;
           qaoa_options.num_reads = 30;
-          qaoa_options.rng = &rng;
+          qaoa_options.seed = next_seed++;
           auto qaoa_decoded =
               qdm::qopt::SolveSchemaMatching(problem, "qaoa", qaoa_options);
           QDM_CHECK(qaoa_decoded.ok()) << qaoa_decoded.status();

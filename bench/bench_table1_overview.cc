@@ -46,11 +46,13 @@ int main() {
   qdm::TablePrinter table({"ref", "DB problem", "formulation", "algorithm",
                            "backend", "qubits", "result"});
 
-  // Every backend is dispatched by name through the QuboSolver registry.
-  auto sample = [&rng](const std::string& solver_name,
-                       const qdm::anneal::Qubo& qubo,
-                       qdm::anneal::SolverOptions options) {
-    options.rng = &rng;
+  // Every backend is dispatched by name through the QuboSolver registry;
+  // solve k runs with seed 2024 + k.
+  uint64_t next_seed = 2024;
+  auto sample = [&next_seed](const std::string& solver_name,
+                             const qdm::anneal::Qubo& qubo,
+                             qdm::anneal::SolverOptions options) {
+    options.seed = next_seed++;
     auto set = qdm::anneal::SolveWith(solver_name, qubo, options);
     QDM_CHECK(set.ok()) << solver_name << ": " << set.status();
     return std::move(set).value();

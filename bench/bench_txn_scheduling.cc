@@ -66,6 +66,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   qdm::Rng rng(2024);
+  // Solve k of this report runs with seed 2024 + k.
+  uint64_t next_seed = 2024;
   qdm::TablePrinter table({"txns", "conflicts", "naive wait", "greedy wait",
                            "anneal wait", "grover wait", "greedy span",
                            "anneal span", "grover span"});
@@ -97,7 +99,7 @@ int main(int argc, char** argv) {
       qdm::anneal::SolverOptions anneal_options;
       anneal_options.num_sweeps = 1500;
       anneal_options.num_reads = 30;
-      anneal_options.rng = &rng;
+      anneal_options.seed = next_seed++;
       auto annealed = qdm::qopt::SolveTxnSchedule(problem,
                                                   "simulated_annealing",
                                                   anneal_options);
@@ -113,7 +115,7 @@ int main(int argc, char** argv) {
         grover_ran = true;
         qdm::anneal::SolverOptions grover_options;
         grover_options.num_reads = 3;
-        grover_options.rng = &rng;
+        grover_options.seed = next_seed++;
         auto gschedule =
             qdm::qopt::SolveTxnSchedule(problem, "grover_min", grover_options);
         QDM_CHECK(gschedule.ok()) << gschedule.status();

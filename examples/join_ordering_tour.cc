@@ -49,7 +49,7 @@ int main() {
   qdm::anneal::SolverOptions anneal_options;
   anneal_options.num_sweeps = 800;
   anneal_options.num_reads = 30;
-  anneal_options.rng = &rng;
+  anneal_options.seed = 7;
   auto annealed =
       qdm::qopt::SolveJoinOrder(graph, "simulated_annealing", anneal_options);
   QDM_CHECK(annealed.ok()) << annealed.status();
@@ -64,7 +64,7 @@ int main() {
   qaoa_options.num_reads = 40;
   qaoa_options.layers = 2;
   qaoa_options.restarts = 2;
-  qaoa_options.rng = &rng;
+  qaoa_options.seed = 8;
   auto qaoa_solved = qdm::qopt::SolveJoinOrder(graph, "qaoa", qaoa_options);
   QDM_CHECK(qaoa_solved.ok()) << qaoa_solved.status();
   QDM_CHECK(report_plan("QAOA",

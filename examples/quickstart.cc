@@ -68,7 +68,7 @@ int main() {
   qdm::anneal::SolverOptions options;
   options.num_reads = 50;
   options.num_sweeps = 1000;
-  options.rng = &rng;
+  options.seed = 42;
   auto solved = qdm::qopt::SolveMqo(mqo, "simulated_annealing", options);
   QDM_CHECK(solved.ok()) << solved.status();
   qdm::qopt::MqoSolution solution = *solved;

@@ -58,7 +58,7 @@ int main() {
   qdm::anneal::SolverOptions options;
   options.num_reads = 30;
   options.num_sweeps = 800;
-  options.rng = &rng;
+  options.seed = 17;
   auto solved =
       qdm::qopt::SolveJoinOrder(*graph, "simulated_annealing", options);
   QDM_CHECK(solved.ok()) << solved.status();

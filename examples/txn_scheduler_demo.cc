@@ -60,7 +60,7 @@ int main() {
   qdm::anneal::SolverOptions options;
   options.num_reads = 40;
   options.num_sweeps = 1500;
-  options.rng = &rng;
+  options.seed = 5;
   auto annealed =
       qdm::qopt::SolveTxnSchedule(problem, "simulated_annealing", options);
   QDM_CHECK(annealed.ok()) << annealed.status();

@@ -3,6 +3,7 @@
 
 #include "qdm/anneal/qubo.h"
 #include "qdm/anneal/sampler.h"
+#include "qdm/common/rng.h"
 #include "qdm/sim/noise.h"
 
 namespace qdm {
@@ -13,7 +14,7 @@ namespace algo {
 /// paper's Figure 2 and the approach of Groppe & Groppe [IDEAS'21] for
 /// transaction schedule optimization: encode candidate solutions as basis
 /// states and Grover-search below a descending cost threshold.
-class GroverMinSampler : public anneal::Sampler {
+class GroverMinSampler {
  public:
   struct Options {
     /// State-vector guard: 2^max_qubits energies are materialized.
@@ -24,7 +25,7 @@ class GroverMinSampler : public anneal::Sampler {
   explicit GroverMinSampler(Options options) : options_(options) {}
 
   anneal::SampleSet SampleQubo(const anneal::Qubo& qubo, int num_reads,
-                               Rng* rng) override;
+                               Rng* rng);
 
   /// Noisy sibling of SampleQubo (docs/noise.md): the adaptive Durr-Hoyer
   /// search has no single gate-level circuit to inject per-gate errors
@@ -33,8 +34,6 @@ class GroverMinSampler : public anneal::Sampler {
   /// probability of the reads.
   anneal::SampleSet SampleQuboNoisy(const anneal::Qubo& qubo, int num_reads,
                                     const sim::NoiseModel& model, Rng* rng);
-
-  std::string name() const override { return "grover_min"; }
 
   /// Oracle queries consumed by the most recent SampleQubo call.
   int64_t last_oracle_queries() const { return last_oracle_queries_; }

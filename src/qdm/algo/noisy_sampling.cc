@@ -12,15 +12,6 @@ namespace algo {
 
 namespace {
 
-/// Shot s's private Rng: seeded `seed + s` (with the zero-means-default seed
-/// mapping of ResolveSolverRng) on the seed path, or from one engine draw of
-/// the caller's shared Rng on the sequential rng path.
-Rng MakeShotRng(const anneal::SolverOptions& options, int shot) {
-  if (options.rng != nullptr) return Rng(options.rng->engine()());
-  const uint64_t base = options.seed != 0 ? options.seed : Rng::kDefaultSeed;
-  return Rng(base + static_cast<uint64_t>(shot));
-}
-
 uint64_t ApplyReadoutFlips(uint64_t z, int num_qubits, double p, Rng* rng) {
   if (p <= 0.0) return z;
   for (int q = 0; q < num_qubits; ++q) {
@@ -86,7 +77,7 @@ anneal::SampleSet SampleCircuitNoisy(const circuit::Circuit& c,
       probabilities[z] = std::max(0.0, rho.matrix()(z, z).real());
     }
     for (int read = 0; read < num_reads; ++read) {
-      Rng shot_rng = MakeShotRng(options, read);
+      Rng shot_rng = anneal::SolverRng(options, read);
       uint64_t z = static_cast<uint64_t>(shot_rng.Categorical(probabilities));
       z = ApplyReadoutFlips(z, n, model.readout_flip, &shot_rng);
       AddBasisSample(&set, diagonal, n, z);
@@ -101,7 +92,7 @@ anneal::SampleSet SampleCircuitNoisy(const circuit::Circuit& c,
   const sim::TrajectorySimulator simulator(model);
   double fidelity_total = 0.0;
   for (int read = 0; read < num_reads; ++read) {
-    Rng shot_rng = MakeShotRng(options, read);
+    Rng shot_rng = anneal::SolverRng(options, read);
     const sim::Statevector trajectory = simulator.RunTrajectory(c, &shot_rng);
     uint64_t z = trajectory.SampleBasisState(&shot_rng);
     z = ApplyReadoutFlips(z, n, model.readout_flip, &shot_rng);

@@ -31,12 +31,11 @@ sim::NoiseModel ToNoiseModel(const anneal::NoiseSpec& spec);
 /// the ideal-state overlap of the evolved density matrix, or the mean
 /// |<ideal|trajectory>|^2 on the trajectory path.
 ///
-/// Determinism contract (docs/noise.md): with options.rng == nullptr, shot s
-/// runs on its own Rng seeded `seed + s` (seed 0 mapping to the library
-/// default first, mirroring ResolveSolverRng), so results are bit-identical
-/// at every thread count and SolveBatchParallel instance i equals a
-/// standalone solve at seed + i. A non-null options.rng draws one engine
-/// value per shot as that shot's seed (sequential, order-dependent).
+/// Determinism contract (docs/noise.md): shot s runs on its own Rng,
+/// anneal::SolverRng(options, s) — seeded `seed + s`, seed 0 mapping to the
+/// library default first — so results are bit-identical at every thread
+/// count and SolveBatchParallel instance i equals a standalone solve at
+/// seed + i.
 anneal::SampleSet SampleCircuitNoisy(const circuit::Circuit& c,
                                      const std::vector<double>& diagonal,
                                      const sim::NoiseModel& model,

@@ -1,7 +1,6 @@
 #include "qdm/algo/qaoa.h"
 
 #include <cmath>
-#include <optional>
 
 #include "qdm/algo/noisy_sampling.h"
 #include "qdm/common/check.h"
@@ -144,9 +143,8 @@ anneal::SampleSet QaoaSampler::SampleQuboNoisy(
       << " qubits";
   Qaoa qaoa(qubo, options_.layers);
   CoordinateDescent optimizer;
-  std::optional<Rng> local;
-  Rng* rng = anneal::ResolveSolverRng(options, &local);
-  OptimizationResult opt = qaoa.Optimize(&optimizer, options_.restarts, rng);
+  Rng rng = anneal::SolverRng(options);
+  OptimizationResult opt = qaoa.Optimize(&optimizer, options_.restarts, &rng);
   // The gate-level circuit produces the same state as the fast diagonal
   // path up to global phase, which the fidelity metric is invariant to.
   return SampleCircuitNoisy(qaoa.BuildCircuit(opt.parameters),

@@ -58,9 +58,10 @@ class Qaoa {
   std::vector<double> diagonal_;
 };
 
-/// QAOA packaged behind the annealing Sampler interface so benches can swap
-/// annealer and gate-based backends freely (Figure 2's two arms).
-class QaoaSampler : public anneal::Sampler {
+/// QAOA as a QUBO sampler; the registry's "qaoa" backend (see
+/// solver_registration.cc) serves it interchangeably with the annealers
+/// (Figure 2's two arms).
+class QaoaSampler {
  public:
   struct Options {
     int layers = 2;
@@ -73,7 +74,7 @@ class QaoaSampler : public anneal::Sampler {
   explicit QaoaSampler(Options options) : options_(options) {}
 
   anneal::SampleSet SampleQubo(const anneal::Qubo& qubo, int num_reads,
-                               Rng* rng) override;
+                               Rng* rng);
 
   /// Noisy sibling of SampleQubo (docs/noise.md): the variational loop
   /// optimizes noiselessly as usual, then the optimal gate-level circuit is
@@ -82,8 +83,6 @@ class QaoaSampler : public anneal::Sampler {
   anneal::SampleSet SampleQuboNoisy(const anneal::Qubo& qubo, int num_reads,
                                     const sim::NoiseModel& model,
                                     const anneal::SolverOptions& options);
-
-  std::string name() const override { return "qaoa"; }
 
  private:
   Options options_;

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "qdm/algo/grover_min_sampler.h"
 #include "qdm/algo/noisy_sampling.h"
@@ -63,9 +62,8 @@ class VariationalSolver : public anneal::QuboSolver {
       return sampler.SampleQuboNoisy(qubo, options.num_reads,
                                      ToNoiseModel(options.noise), options);
     }
-    std::optional<Rng> local;
-    return sampler.SampleQubo(qubo, options.num_reads,
-                              anneal::ResolveSolverRng(options, &local));
+    Rng rng = anneal::SolverRng(options);
+    return sampler.SampleQubo(qubo, options.num_reads, &rng);
   }
   std::string name() const override { return registry_name_; }
 
@@ -86,13 +84,12 @@ class GroverMinSolver : public anneal::QuboSolver {
     QDM_RETURN_IF_ERROR(
         CheckFits(qubo, grover.max_qubits, "Grover minimum finding"));
     GroverMinSampler sampler(grover);
-    std::optional<Rng> local;
-    Rng* rng = anneal::ResolveSolverRng(options, &local);
+    Rng rng = anneal::SolverRng(options);
     if (!options.noise.IsNoiseless()) {
       return sampler.SampleQuboNoisy(qubo, options.num_reads,
-                                     ToNoiseModel(options.noise), rng);
+                                     ToNoiseModel(options.noise), &rng);
     }
-    return sampler.SampleQubo(qubo, options.num_reads, rng);
+    return sampler.SampleQubo(qubo, options.num_reads, &rng);
   }
   std::string name() const override { return "grover_min"; }
 };

@@ -1,7 +1,6 @@
 #include "qdm/algo/vqe.h"
 
 #include <cmath>
-#include <optional>
 
 #include "qdm/algo/noisy_sampling.h"
 #include "qdm/algo/qaoa.h"
@@ -94,9 +93,8 @@ anneal::SampleSet VqeSampler::SampleQuboNoisy(
       << " qubits";
   Vqe vqe(qubo, options_.layers);
   NelderMead optimizer;
-  std::optional<Rng> local;
-  Rng* rng = anneal::ResolveSolverRng(options, &local);
-  OptimizationResult opt = vqe.Optimize(&optimizer, options_.restarts, rng);
+  Rng rng = anneal::SolverRng(options);
+  OptimizationResult opt = vqe.Optimize(&optimizer, options_.restarts, &rng);
   return SampleCircuitNoisy(vqe.ansatz().BindParameters(opt.parameters),
                             vqe.diagonal(), model, num_reads, options);
 }

@@ -46,8 +46,9 @@ class Vqe {
   circuit::Circuit ansatz_;
 };
 
-/// VQE behind the Sampler interface (Figure 2's second gate-based arm).
-class VqeSampler : public anneal::Sampler {
+/// VQE as a QUBO sampler, served as the registry's "vqe" backend (Figure 2's
+/// second gate-based arm).
+class VqeSampler {
  public:
   struct Options {
     int layers = 2;
@@ -59,7 +60,7 @@ class VqeSampler : public anneal::Sampler {
   explicit VqeSampler(Options options) : options_(options) {}
 
   anneal::SampleSet SampleQubo(const anneal::Qubo& qubo, int num_reads,
-                               Rng* rng) override;
+                               Rng* rng);
 
   /// Noisy sibling of SampleQubo (docs/noise.md): optimizes noiselessly,
   /// then samples the bound ansatz circuit under `model` via
@@ -67,8 +68,6 @@ class VqeSampler : public anneal::Sampler {
   anneal::SampleSet SampleQuboNoisy(const anneal::Qubo& qubo, int num_reads,
                                     const sim::NoiseModel& model,
                                     const anneal::SolverOptions& options);
-
-  std::string name() const override { return "vqe"; }
 
  private:
   Options options_;

@@ -85,14 +85,14 @@ int AdaptiveSolver::committed_member() const {
   return best;
 }
 
-Result<SampleSet> AdaptiveSolver::SolveOne(const Qubo& qubo,
-                                           const SolverOptions& options,
-                                           int solve_threads) {
+Result<SampleSet> AdaptiveSolver::Solve(const Qubo& qubo,
+                                        const SolverOptions& options) {
   if (solves_seen_ < static_cast<uint64_t>(kExploreInstances)) {
+    // Explore races fan out across the shared pool like a race:* solve.
     QDM_ASSIGN_OR_RETURN(
         RaceOutcome outcome,
         RaceMemberSolvers(members_, RawPointers(member_solvers_), qubo,
-                          options, solve_threads, kMemberLabel));
+                          options, /*num_threads=*/0, kMemberLabel));
     ++wins_[outcome.winner];
     ++solves_seen_;
     outcome.samples.set_decision(
@@ -103,10 +103,9 @@ Result<SampleSet> AdaptiveSolver::SolveOne(const Qubo& qubo,
   const int w = committed_member();
   // The committed member keeps the seed+index rule of the explore races
   // (member m solves with seed + m), so one replay rule covers both
-  // phases. A caller-shared Rng is honored verbatim, as in a race.
-  const SolverOptions member_options =
-      options.rng != nullptr ? options : DeriveBatchOptions(options, w);
-  Result<SampleSet> samples = member_solvers_[w]->Solve(qubo, member_options);
+  // phases.
+  Result<SampleSet> samples =
+      member_solvers_[w]->Solve(qubo, DeriveBatchOptions(options, w));
   if (!samples.ok()) {
     return AnnotateAdaptiveMemberError(samples.status(), w, members_[w]);
   }
@@ -121,22 +120,9 @@ Result<SampleSet> AdaptiveSolver::SolveOne(const Qubo& qubo,
   return samples;
 }
 
-Result<SampleSet> AdaptiveSolver::Solve(const Qubo& qubo,
-                                        const SolverOptions& options) {
-  // A shared Rng can only be honored sequentially; seed-based explore races
-  // fan out across the shared pool like a race:* solve.
-  return SolveOne(qubo, options, options.rng != nullptr ? 1 : 0);
-}
-
 Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
     const std::vector<Qubo>& qubos, const SolverOptions& options,
     int num_threads) {
-  if (num_threads != 1 && options.rng != nullptr) {
-    return Status::InvalidArgument(
-        "SolveBatchParallel with num_threads != 1 requires seed-based "
-        "randomness (options.rng must be null): a shared Rng cannot be "
-        "fanned out deterministically");
-  }
   QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
   if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
   const size_t n = qubos.size();

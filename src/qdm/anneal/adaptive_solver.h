@@ -43,8 +43,7 @@ namespace anneal {
 /// Randomness: member m of lifetime solve k runs with
 /// DeriveBatchOptions(instance_options, m) — the same seed+index rule as
 /// race:* — in both phases (the committed member keeps its member offset,
-/// so a decision replays with one rule). A non-null options.rng is
-/// honored sequentially, like race:*.
+/// so a decision replays with one rule).
 class AdaptiveSolver : public QuboSolver {
  public:
   /// Lifetime solves raced before committing. Large enough that a noisy
@@ -78,11 +77,6 @@ class AdaptiveSolver : public QuboSolver {
   const std::vector<int>& wins() const { return wins_; }
 
  private:
-  /// One lifetime solve: explore (race + tally) or commit, decision
-  /// recorded. `solve_threads` is the inner race fan-out mode.
-  Result<SampleSet> SolveOne(const Qubo& qubo, const SolverOptions& options,
-                             int solve_threads);
-
   std::string registry_name_;
   std::vector<std::string> members_;
   std::vector<std::unique_ptr<QuboSolver>> member_solvers_;

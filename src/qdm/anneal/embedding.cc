@@ -207,18 +207,5 @@ SampleSet UnembedAll(const Qubo& logical, const EmbeddedQubo& embedded,
   return logical_set;
 }
 
-SampleSet EmbeddedSampler::SampleQubo(const Qubo& qubo, int num_reads,
-                                      Rng* rng) {
-  Result<Embedding> embedding =
-      CliqueEmbedding(qubo.num_variables(), *topology_);
-  QDM_CHECK(embedding.ok()) << embedding.status().ToString();
-  Result<EmbeddedQubo> embedded =
-      EmbedQubo(qubo, *embedding, *topology_, chain_strength_);
-  QDM_CHECK(embedded.ok()) << embedded.status().ToString();
-
-  SampleSet physical = base_->SampleQubo(embedded->physical, num_reads, rng);
-  return UnembedAll(qubo, *embedded, physical, policy_);
-}
-
 }  // namespace anneal
 }  // namespace qdm

@@ -1,9 +1,8 @@
 #ifndef QDM_ANNEAL_PARALLEL_TEMPERING_H_
 #define QDM_ANNEAL_PARALLEL_TEMPERING_H_
 
-#include <string>
-
 #include "qdm/anneal/sampler.h"
+#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
@@ -13,7 +12,7 @@ namespace anneal {
 /// proposes replica swaps. Stronger than plain SA on rugged QUBO landscapes
 /// (frustrated penalties), at higher cost; serves as the "well-tuned
 /// classical heuristic" baseline in the solver-quality benches.
-class ParallelTempering : public Sampler {
+class ParallelTempering {
  public:
   struct Options {
     int num_replicas = 8;
@@ -28,8 +27,7 @@ class ParallelTempering : public Sampler {
   ParallelTempering() : options_() {}
   explicit ParallelTempering(Options options) : options_(options) {}
 
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
-  std::string name() const override { return "parallel_tempering"; }
+  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng);
 
  private:
   Options options_;

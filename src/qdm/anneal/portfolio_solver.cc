@@ -65,23 +65,16 @@ Result<RaceOutcome> RaceMemberSolvers(const std::vector<std::string>& members,
   if (members.empty()) {
     return Status::InvalidArgument("a race needs at least one member backend");
   }
-  if (num_threads != 1 && options.rng != nullptr) {
-    return Status::InvalidArgument(
-        "SolveRaceParallel with num_threads != 1 requires seed-based "
-        "randomness (options.rng must be null): a shared Rng cannot be "
-        "fanned out deterministically");
-  }
   QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
 
   const size_t n = members.size();
   std::vector<Result<SampleSet>> results(n, Status::Internal("not raced"));
-  // On the seed-based paths each member solves with its own derived seed —
-  // results are independent of which thread ran which member.
+  // Each member solves with its own derived seed — results are independent
+  // of which thread ran which member.
   const auto race_member = [&members, &solvers, &qubo, &options, &results](
                                int i) {
-    results[i] = SolveMember(
-        solvers[i], members[i], qubo,
-        options.rng != nullptr ? options : DeriveBatchOptions(options, i));
+    results[i] = SolveMember(solvers[i], members[i], qubo,
+                             DeriveBatchOptions(options, i));
   };
   if (num_threads == 1 || n == 1) {
     for (size_t i = 0; i < n; ++i) race_member(static_cast<int>(i));
@@ -171,11 +164,11 @@ Result<SampleSet> PortfolioSolver::Solve(const Qubo& qubo,
   std::vector<QuboSolver*> raw;
   raw.reserve(member_solvers_.size());
   for (const auto& solver : member_solvers_) raw.push_back(solver.get());
-  // A shared Rng can only be honored sequentially; seed-based solves hedge
-  // across the shared pool (deadlock-free under SolveBatchParallel workers).
-  QDM_ASSIGN_OR_RETURN(RaceOutcome outcome,
-                       RaceMemberSolvers(members_, raw, qubo, options,
-                                         options.rng != nullptr ? 1 : 0));
+  // Members hedge across the shared pool (deadlock-free under
+  // SolveBatchParallel workers).
+  QDM_ASSIGN_OR_RETURN(
+      RaceOutcome outcome,
+      RaceMemberSolvers(members_, raw, qubo, options, /*num_threads=*/0));
   return std::move(outcome.samples);
 }
 

@@ -22,12 +22,9 @@ namespace anneal {
 ///  - Winner: the member whose best (lowest-energy) sample is strictly
 ///    lowest; on equal best energies the earliest member in `members` wins
 ///    (backend-order tie-break), so the result never depends on timing.
-///  - Randomness: with options.rng == nullptr, member i is solved with
-///    DeriveBatchOptions(options, i) — i.e. seed + i — making the race a
-///    pure function of (members, qubo, options), bit-identical at every
-///    num_threads value. A non-null options.rng is honored only when
-///    num_threads == 1 (sequential member order); any other num_threads is
-///    InvalidArgument.
+///  - Randomness: member i is solved with DeriveBatchOptions(options, i) —
+///    i.e. seed + i — making the race a pure function of (members, qubo,
+///    options), bit-identical at every num_threads value.
 ///  - Partial failure is the point of racing: members that fail (or return
 ///    an empty sample set) are dropped and the winner is picked among the
 ///    survivors. Only when EVERY member fails does the race fail, returning
@@ -35,12 +32,12 @@ namespace anneal {
 ///  - Unknown member names are surfaced up front (before any fan-out), as
 ///    the registry's Create error annotated with the member name.
 ///
-/// num_threads: 1 = strictly sequential on the calling thread (the only mode
-/// honoring options.rng); <= 0 = the composition default — members run on
-/// ThreadPool::Shared() via the caller-participating ForEach, which cannot
-/// deadlock when the race itself runs inside a SolveBatchParallel worker
-/// (the dispatching thread drains its own index counter); > 1 = a transient
-/// pool of min(num_threads, members) workers, mirroring SolveBatchParallel.
+/// num_threads: 1 = strictly sequential on the calling thread; <= 0 = the
+/// composition default — members run on ThreadPool::Shared() via the
+/// caller-participating ForEach, which cannot deadlock when the race itself
+/// runs inside a SolveBatchParallel worker (the dispatching thread drains
+/// its own index counter); > 1 = a transient pool of min(num_threads,
+/// members) workers, mirroring SolveBatchParallel.
 ///
 /// Seed-derivation composition note: SolveBatchParallel solves batch
 /// instance i with seed + i, so a "race:*" backend inside a batch solves
@@ -65,8 +62,8 @@ struct RaceOutcome {
 /// member satisfies the no-thread-safety contract), and the backends are
 /// the caller's to reuse across calls — member construction is non-trivial
 /// (an "embedded:*" member builds its topology graph; the backend cache
-/// only amortizes, not eliminates, that cost). Winner selection, rng/seed
-/// semantics, and num_threads modes follow the SolveRaceParallel contract
+/// only amortizes, not eliminates, that cost). Winner selection, seed
+/// derivation, and num_threads modes follow the SolveRaceParallel contract
 /// above. `member_label` prefixes per-member failure annotations ("race
 /// member" for the race:* family, "adaptive member" for adaptive:*).
 Result<RaceOutcome> RaceMemberSolvers(
@@ -76,9 +73,9 @@ Result<RaceOutcome> RaceMemberSolvers(
     const std::string& member_label = "race member");
 
 /// QuboSolver combinator presenting a solver portfolio behind one registry
-/// name: Solve races the members via SolveRaceParallel (sequentially when
-/// options.rng is set, across the shared ThreadPool otherwise) and SolveBatch
-/// inherits the sequential reference, so "race:*" names compose with
+/// name: Solve races the members across the shared ThreadPool (the
+/// SolveRaceParallel composition default) and SolveBatch inherits the
+/// sequential reference, so "race:*" names compose with
 /// SolveBatchParallel — and with qopt::QuboPipeline — exactly like any
 /// other backend, bit-identical at every thread count.
 class PortfolioSolver : public QuboSolver {

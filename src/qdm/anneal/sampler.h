@@ -6,10 +6,13 @@
 #include <vector>
 
 #include "qdm/anneal/qubo.h"
-#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
+
+// The result types of every QUBO backend: the concrete algorithm classes'
+// SampleQubo and the polymorphic QuboSolver interface (solver.h) both
+// return a SampleSet.
 
 /// One sampled solution with its energy.
 struct Sample {
@@ -56,23 +59,6 @@ class SampleSet {
   std::vector<Sample> samples_;
   double noise_fidelity_ = 1.0;
   std::string decision_;
-};
-
-/// Abstract QUBO sampler — the "quantum computer" interface of the annealing
-/// path in Figure 2. Implementations: SimulatedAnnealer (stand-in for the
-/// D-Wave physical anneal), ParallelTempering, TabuSearch (classical
-/// baselines), ExactSolver (ground truth), EmbeddedSampler (adds the
-/// logical->physical Chimera mapping), and algo::QaoaSampler /
-/// algo::GroverSampler on the gate-based side.
-class Sampler {
- public:
-  virtual ~Sampler() = default;
-
-  /// Draws `num_reads` solutions for `qubo`.
-  virtual SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) = 0;
-
-  /// Human-readable name for report tables.
-  virtual std::string name() const = 0;
 };
 
 }  // namespace anneal

@@ -1,9 +1,8 @@
 #ifndef QDM_ANNEAL_SIMULATED_ANNEALING_H_
 #define QDM_ANNEAL_SIMULATED_ANNEALING_H_
 
-#include <string>
-
 #include "qdm/anneal/sampler.h"
+#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
@@ -24,13 +23,12 @@ struct AnnealSchedule {
 /// stand-in for the D-Wave quantum annealer: the *interface* (QUBO in,
 /// low-energy samples out, quality improving with anneal length / num_reads)
 /// matches the physical device; the dynamics are classical Metropolis.
-class SimulatedAnnealer : public Sampler {
+class SimulatedAnnealer {
  public:
   explicit SimulatedAnnealer(AnnealSchedule schedule = AnnealSchedule{})
       : schedule_(schedule) {}
 
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
-  std::string name() const override { return "simulated_annealing"; }
+  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng);
 
   const AnnealSchedule& schedule() const { return schedule_; }
 

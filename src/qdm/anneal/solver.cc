@@ -1,7 +1,6 @@
 #include "qdm/anneal/solver.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "qdm/anneal/exact_solver.h"
@@ -40,7 +39,6 @@ Result<std::vector<Sample>> BestOfEach(const std::vector<SampleSet>& sets,
 
 SolverOptions DeriveBatchOptions(const SolverOptions& options, size_t index) {
   SolverOptions derived = options;
-  derived.rng = nullptr;
   derived.seed = options.seed + static_cast<uint64_t>(index);
   return derived;
 }
@@ -50,10 +48,7 @@ Result<std::vector<SampleSet>> QuboSolver::SolveBatch(
   std::vector<SampleSet> results;
   results.reserve(qubos.size());
   for (size_t i = 0; i < qubos.size(); ++i) {
-    Result<SampleSet> result =
-        options.rng != nullptr
-            ? Solve(qubos[i], options)
-            : Solve(qubos[i], DeriveBatchOptions(options, i));
+    Result<SampleSet> result = Solve(qubos[i], DeriveBatchOptions(options, i));
     if (!result.ok()) {
       return AnnotateBatchInstanceError(result.status(), i, qubos.size());
     }
@@ -74,12 +69,6 @@ Result<std::vector<SampleSet>> QuboSolver::SolveBatchThreaded(
 Result<std::vector<SampleSet>> SolveBatchParallel(
     const std::string& solver_name, const std::vector<Qubo>& qubos,
     const SolverOptions& options, int num_threads) {
-  if (num_threads != 1 && options.rng != nullptr) {
-    return Status::InvalidArgument(
-        "SolveBatchParallel with num_threads != 1 requires seed-based "
-        "randomness (options.rng must be null): a shared Rng cannot be "
-        "fanned out deterministically");
-  }
   QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
   if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
   const size_t n = qubos.size();
@@ -132,15 +121,9 @@ Result<std::vector<SampleSet>> SolveBatchParallel(
   return results;
 }
 
-Rng* ResolveSolverRng(const SolverOptions& options,
-                      std::optional<Rng>* storage) {
-  if (options.rng != nullptr) return options.rng;
-  if (options.seed != 0) {
-    storage->emplace(options.seed);
-  } else {
-    storage->emplace();
-  }
-  return &storage->value();
+Rng SolverRng(const SolverOptions& options, uint64_t offset) {
+  const uint64_t seed = options.seed != 0 ? options.seed : Rng::kDefaultSeed;
+  return Rng(seed + offset);
 }
 
 Status ValidateSolverOptions(const SolverOptions& options) {
@@ -184,9 +167,8 @@ class SimulatedAnnealingSolver : public QuboSolver {
     schedule.beta_min = options.beta_min;
     schedule.beta_max = options.beta_max;
     SimulatedAnnealer annealer(schedule);
-    std::optional<Rng> local;
-    return annealer.SampleQubo(qubo, options.num_reads,
-                               ResolveSolverRng(options, &local));
+    Rng rng = SolverRng(options);
+    return annealer.SampleQubo(qubo, options.num_reads, &rng);
   }
   std::string name() const override { return "simulated_annealing"; }
 };
@@ -203,9 +185,8 @@ class ParallelTemperingSolver : public QuboSolver {
     pt.beta_min = options.beta_min;
     pt.beta_max = options.beta_max;
     ParallelTempering sampler(pt);
-    std::optional<Rng> local;
-    return sampler.SampleQubo(qubo, options.num_reads,
-                              ResolveSolverRng(options, &local));
+    Rng rng = SolverRng(options);
+    return sampler.SampleQubo(qubo, options.num_reads, &rng);
   }
   std::string name() const override { return "parallel_tempering"; }
 };
@@ -221,9 +202,8 @@ class TabuSearchSolver : public QuboSolver {
     }
     if (options.tenure > 0) tabu.tenure = options.tenure;
     TabuSearch sampler(tabu);
-    std::optional<Rng> local;
-    return sampler.SampleQubo(qubo, options.num_reads,
-                              ResolveSolverRng(options, &local));
+    Rng rng = SolverRng(options);
+    return sampler.SampleQubo(qubo, options.num_reads, &rng);
   }
   std::string name() const override { return "tabu_search"; }
 };
@@ -241,36 +221,11 @@ class ExactQuboSolver : public QuboSolver {
           "%d-variable limit",
           qubo.num_variables(), kMaxVariables));
     }
+    // Enumeration draws no randomness.
     ExactSolver solver;
-    std::optional<Rng> local;
-    return solver.SampleQubo(qubo, options.num_reads,
-                             ResolveSolverRng(options, &local));
+    return solver.SampleQubo(qubo, options.num_reads, /*rng=*/nullptr);
   }
   std::string name() const override { return "exact"; }
-};
-
-/// Presents a QuboSolver as a Sampler (see WrapAsSampler).
-class SolverSampler : public Sampler {
- public:
-  SolverSampler(std::unique_ptr<QuboSolver> solver, SolverOptions options)
-      : solver_(std::move(solver)), options_(options) {}
-
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override {
-    SolverOptions options = options_;
-    options.num_reads = num_reads;
-    options.rng = rng;
-    Result<SampleSet> result = solver_->Solve(qubo, options);
-    QDM_CHECK(result.ok()) << solver_->name()
-                           << " failed inside a Sampler context: "
-                           << result.status();
-    return std::move(result).value();
-  }
-
-  std::string name() const override { return solver_->name(); }
-
- private:
-  std::unique_ptr<QuboSolver> solver_;
-  SolverOptions options_;
 };
 
 }  // namespace
@@ -380,12 +335,6 @@ Result<Sample> SolveForBest(const std::string& solver_name, const Qubo& qubo,
         "solver '%s' returned an empty sample set", solver_name.c_str()));
   }
   return samples.best();
-}
-
-std::unique_ptr<Sampler> WrapAsSampler(std::unique_ptr<QuboSolver> solver,
-                                       SolverOptions options) {
-  QDM_CHECK(solver != nullptr);
-  return std::make_unique<SolverSampler>(std::move(solver), options);
 }
 
 }  // namespace anneal

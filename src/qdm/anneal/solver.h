@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,7 @@ namespace anneal {
 /// ignores the rest. The per-knob rules:
 ///
 ///   num_reads        > 0 required (no zero-default; 0 is InvalidArgument).
-///   rng / seed       see below — not zero-defaulted knobs.
+///   seed             see below — not a zero-defaulted knob.
 ///   num_sweeps       0 = backend default sweep count (annealing family).
 ///   beta_min/beta_max both 0 = auto-scale the inverse-temperature ladder
 ///                    from the problem; setting only one of the pair, or a
@@ -59,16 +58,15 @@ namespace anneal {
 ///                    via the `noisy:<model>:<base>` registry family
 ///                    rather than by hand (docs/noise.md).
 ///
-/// Randomness: when `rng` is non-null it is used directly (and `seed` is
-/// ignored); otherwise the solver seeds a local Rng from `seed` (seed 0
-/// meaning the library's fixed default seed). Batch entry points derive a
-/// distinct per-instance seed (see DeriveBatchOptions) and only honor `rng`
-/// on the strictly sequential path.
+/// Randomness: `seed` is the only source of solver randomness — every solve
+/// is a pure function of (qubo, options). The solver seeds a local Rng from
+/// it (see SolverRng; seed 0 means the library's fixed default seed). Batch
+/// entry points derive a distinct per-instance seed (see
+/// DeriveBatchOptions).
 struct SolverOptions {
   /// Number of solutions drawn (ground-truth solvers may return fewer).
   int num_reads = 10;
 
-  Rng* rng = nullptr;
   uint64_t seed = 0;
 
   // -- Annealing family (simulated_annealing, parallel_tempering) ------------
@@ -115,11 +113,9 @@ class QuboSolver {
   ///
   ///  - Ordering: result[i] is the SampleSet for qubos[i]; the output vector
   ///    has exactly qubos.size() entries on success.
-  ///  - Randomness: with options.rng == nullptr, instance i is solved with
-  ///    DeriveBatchOptions(options, i) — i.e. seed + i — making the batch a
-  ///    pure function of (qubos, options) independent of execution order or
-  ///    thread count. A non-null options.rng is honored here (shared,
-  ///    sequential, order-dependent) but rejected by the parallel fan-out.
+  ///  - Randomness: instance i is solved with DeriveBatchOptions(options,
+  ///    i) — i.e. seed + i — making the batch a pure function of (qubos,
+  ///    options) independent of execution order or thread count.
   ///  - Partial failure: all-or-nothing. The Status of the lowest-index
   ///    failing instance is returned, annotated "batch instance <i>:" when
   ///    the batch has more than one instance (a batch of one reports the
@@ -142,11 +138,10 @@ class QuboSolver {
 
   /// Batch entry with a thread budget, used by SolveBatchParallel when
   /// SolvesWholeBatch() is true. Overrides must preserve the SolveBatch
-  /// contract above plus the parallel fan-out's guarantees: results
+  /// contract above plus the parallel fan-out's guarantee: results
   /// bit-identical for every num_threads value (num_threads <= 0 meaning
-  /// ThreadPool::DefaultNumThreads()), and options.rng rejected as
-  /// InvalidArgument unless num_threads == 1. The default ignores
-  /// num_threads and runs the sequential SolveBatch reference.
+  /// ThreadPool::DefaultNumThreads()). The default ignores num_threads and
+  /// runs the sequential SolveBatch reference.
   virtual Result<std::vector<SampleSet>> SolveBatchThreaded(
       const std::vector<Qubo>& qubos, const SolverOptions& options,
       int num_threads);
@@ -228,29 +223,27 @@ Result<Sample> SolveForBest(const std::string& solver_name, const Qubo& qubo,
 /// qdm::ThreadPool when num_threads != 1.
 ///
 ///  - num_threads == 1: strictly sequential on the calling thread via the
-///    backend's SolveBatch (the only mode that honors options.rng).
+///    backend's SolveBatch.
 ///  - num_threads <= 0: uses ThreadPool::DefaultNumThreads().
 ///  - num_threads > 1: fans instances out across min(num_threads, batch
 ///    size) workers via ThreadPool::ParallelForWorkers (dynamic index
 ///    scheduling), one backend instance per WORKER, reused across every
 ///    instance that worker drains (QuboSolver implementations are not
 ///    required to be thread-safe, but one object is never shared across
-///    threads). Requires options.rng == nullptr (InvalidArgument
-///    otherwise): a shared RNG cannot fan out. Backends that report
-///    SolvesWholeBatch() are instead handed the whole batch once via
-///    SolveBatchThreaded (see QuboSolver).
+///    threads). Backends that report SolvesWholeBatch() are instead handed
+///    the whole batch once via SolveBatchThreaded (see QuboSolver).
 ///
-/// Determinism guarantee: with options.rng == nullptr, instance i is always
-/// solved with seed options.seed + i, so the returned SampleSets are
-/// bit-identical for every num_threads value. Error semantics follow
-/// QuboSolver::SolveBatch (all-or-nothing, lowest failing index reported).
+/// Determinism guarantee: instance i is always solved with seed
+/// options.seed + i, so the returned SampleSets are bit-identical for every
+/// num_threads value. Error semantics follow QuboSolver::SolveBatch
+/// (all-or-nothing, lowest failing index reported).
 Result<std::vector<SampleSet>> SolveBatchParallel(
     const std::string& solver_name, const std::vector<Qubo>& qubos,
     const SolverOptions& options, int num_threads = 0);
 
 /// The per-instance options a batch entry solves instance `index` with:
-/// identical knobs, rng cleared, and seed = options.seed + index (wrapping
-/// uint64 arithmetic). Exposed so SolveBatch overrides and tests can
+/// identical knobs and seed = options.seed + index (wrapping uint64
+/// arithmetic). Exposed so SolveBatch overrides and tests can
 /// reproduce exactly what the default implementations do.
 SolverOptions DeriveBatchOptions(const SolverOptions& options, size_t index);
 
@@ -272,24 +265,18 @@ Result<std::vector<Sample>> BestOfEach(const std::vector<SampleSet>& sets,
 
 // -- Helpers for QuboSolver implementations ----------------------------------
 
-/// Resolves the caller's Rng or materializes one in `storage` seeded from
-/// `options.seed`. Shared by every backend so rng/seed semantics cannot
-/// diverge between the annealing and gate-based families.
-Rng* ResolveSolverRng(const SolverOptions& options,
-                      std::optional<Rng>* storage);
+/// The Rng a backend draws from: seeded options.seed + offset, with seed 0
+/// first mapped to Rng::kDefaultSeed (wrapping uint64 arithmetic). Shared by
+/// every backend — and, with offset = shot index, by the per-shot noisy
+/// sampling streams — so seed semantics cannot diverge between the
+/// annealing and gate-based families.
+Rng SolverRng(const SolverOptions& options, uint64_t offset = 0);
 
 /// Validates the backend-independent knobs: num_reads must be positive, and
 /// the inverse-temperature ladder must be either fully unset (auto-scaling)
 /// or a non-negative pair with beta_min <= beta_max — half-set or inverted
 /// ladders are rejected.
 Status ValidateSolverOptions(const SolverOptions& options);
-
-/// Adapts a QuboSolver (with fixed options) back to the Sampler interface so
-/// that sampler combinators (e.g. EmbeddedSampler) can compose registry
-/// backends. The wrapper owns the solver; Solve errors abort, so validate
-/// inputs beforehand when using this path.
-std::unique_ptr<Sampler> WrapAsSampler(std::unique_ptr<QuboSolver> solver,
-                                       SolverOptions options);
 
 }  // namespace anneal
 }  // namespace qdm

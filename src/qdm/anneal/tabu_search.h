@@ -1,9 +1,8 @@
 #ifndef QDM_ANNEAL_TABU_SEARCH_H_
 #define QDM_ANNEAL_TABU_SEARCH_H_
 
-#include <string>
-
 #include "qdm/anneal/sampler.h"
+#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
@@ -12,7 +11,7 @@ namespace anneal {
 /// best non-tabu flip, allowing uphill moves to escape local minima; a flip
 /// is tabu for `tenure` iterations unless it improves the incumbent
 /// (aspiration). Classic strong classical QUBO heuristic (cf. qbsolv).
-class TabuSearch : public Sampler {
+class TabuSearch {
  public:
   struct Options {
     int max_iterations = 500;
@@ -23,8 +22,7 @@ class TabuSearch : public Sampler {
   TabuSearch() : options_() {}
   explicit TabuSearch(Options options) : options_(options) {}
 
-  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng) override;
-  std::string name() const override { return "tabu_search"; }
+  SampleSet SampleQubo(const Qubo& qubo, int num_reads, Rng* rng);
 
  private:
   Options options_;

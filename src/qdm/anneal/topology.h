@@ -17,9 +17,9 @@ namespace anneal {
 /// Implementations model the working graphs of real quantum annealers:
 /// ChimeraGraph (D-Wave 2X), PegasusGraph (Advantage), ZephyrGraph
 /// (Advantage2). The embedding layer (CliqueEmbedding / EmbedQubo /
-/// EmbeddedSampler) and the registry-level "embedded:<base>:<topology>"
-/// backends are written against this interface only, so a topology sweep is
-/// a loop over spec strings, never a code change.
+/// UnembedAll) and the registry-level "embedded:<base>:<topology>" backends
+/// are written against this interface only, so a topology sweep is a loop
+/// over spec strings, never a code change.
 ///
 /// Qubits are dense linear ids in [0, num_qubits()). Every implementation
 /// must keep HasEdge symmetric, irreflexive, and in exact agreement with

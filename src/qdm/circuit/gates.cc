@@ -11,6 +11,14 @@ namespace {
 constexpr Complex kI0(0.0, 0.0);
 constexpr Complex kR1(1.0, 0.0);
 const double kInvSqrt2 = 1.0 / std::sqrt(2.0);
+
+/// rho * e^{i theta} for a magnitude of either sign. std::polar requires
+/// rho >= 0 (a negative one is undefined behaviour), yet U3's sin/cos
+/// factors go negative outside theta in [0, pi]; this computes the same
+/// products std::polar does, so the bits match wherever both are defined.
+Complex SignedPolar(double rho, double theta) {
+  return Complex(rho * std::cos(theta), rho * std::sin(theta));
+}
 }  // namespace
 
 int GateArity(GateKind kind) {
@@ -135,8 +143,8 @@ linalg::Matrix SingleQubitMatrix(GateKind kind,
     case GateKind::kU3: {
       double theta = params[0], phi = params[1], lambda = params[2];
       double c = std::cos(theta / 2), s = std::sin(theta / 2);
-      return Matrix{{Complex(c, 0), std::polar(-s, lambda)},
-                    {std::polar(s, phi), std::polar(c, phi + lambda)}};
+      return Matrix{{Complex(c, 0), SignedPolar(-s, lambda)},
+                    {SignedPolar(s, phi), SignedPolar(c, phi + lambda)}};
     }
     default:
       QDM_CHECK(false) << GateName(kind) << " is not a single-qubit gate";

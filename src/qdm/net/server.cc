@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "qdm/anneal/solver.h"
 #include "qdm/common/strings.h"
@@ -115,16 +116,31 @@ void QdmServer::Stop() {
   // and reaches the next request boundary, where it observes stop_.
   service_->Shutdown();
 
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     connections.swap(connections_);
   }
-  for (std::thread& connection : connections) connection.join();
+  for (Connection& connection : connections) connection.thread.join();
+}
+
+void QdmServer::ReapFinishedConnections() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void QdmServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ReapFinishedConnections();
+    }
     struct pollfd pfd;
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -140,7 +156,11 @@ void QdmServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    connections_.emplace_back([this, fd] { ServeConnection(fd); });
+    Connection* connection = &connections_.emplace_back();
+    connection->thread = std::thread([this, fd, connection] {
+      ServeConnection(fd);
+      connection->done.store(true, std::memory_order_release);
+    });
   }
 }
 

@@ -2,10 +2,10 @@
 #define QDM_NET_SERVER_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "qdm/common/status.h"
 #include "qdm/net/http.h"
@@ -44,9 +44,12 @@ struct ServerConfig {
 ///
 /// Threading: one acceptor thread plus one thread per live connection
 /// (handlers block in SolverService::Wait, so connections cannot share
-/// the solver pool without deadlock). Stop() is graceful: stop accepting,
-/// shut the service down (queued jobs resolve Cancelled, running jobs
-/// finish), then join every connection at its next request boundary.
+/// the solver pool without deadlock). The acceptor joins finished
+/// connection threads on every loop iteration, so a long-running daemon
+/// holds stacks only for live connections. Stop() is graceful: stop
+/// accepting, shut the service down (queued jobs resolve Cancelled,
+/// running jobs finish), then join every connection at its next request
+/// boundary.
 class QdmServer {
  public:
   /// Binds, listens, and starts the acceptor. The only expected failure
@@ -75,7 +78,16 @@ class QdmServer {
  private:
   QdmServer(int listen_fd, int port, const service::ServiceConfig& config);
 
+  /// One connection thread; `done` is set as its last action, so a done
+  /// connection joins without blocking.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   void AcceptLoop();
+  /// Joins and drops every finished connection. Requires mutex_.
+  void ReapFinishedConnections();
   void ServeConnection(int fd);
 
   HttpResponse HandleSubmit(const std::string& body);
@@ -88,7 +100,7 @@ class QdmServer {
   std::atomic<bool> stop_{false};
   std::thread acceptor_;
   std::mutex mutex_;  // Guards connections_.
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  // A list: nodes never move.
   bool stopped_ = false;  // Guarded by mutex_; makes Stop() idempotent.
 };
 

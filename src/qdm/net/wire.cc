@@ -228,9 +228,6 @@ Result<Qubo> DecodeQubo(const JsonValue& value, const std::string& field) {
 // -- SolverOptions ------------------------------------------------------------
 
 void AppendSolverOptionsJson(const SolverOptions& options, std::string* out) {
-  QDM_CHECK(options.rng == nullptr)
-      << "a SolverOptions with a live rng cannot cross the wire (seed-based "
-         "randomness only)";
   *out += StrFormat("{\"num_reads\":%d,\"seed\":%llu,\"num_sweeps\":%d,",
                     options.num_reads,
                     static_cast<unsigned long long>(options.seed),

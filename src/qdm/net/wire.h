@@ -58,9 +58,8 @@ Result<JsonValue> ParseEnvelope(const std::string& text);
 // Qubo          {"num_variables": n, "offset": x, "linear": [x...],
 //                "quadratic": [[i, j, x]...]}
 // SolverOptions {"num_reads": n, "seed": u64, "num_sweeps": n, ...
-//                every knob except `rng`, which cannot cross the wire —
-//                see DecodeSolverOptions; "chain_break_policy" travels
-//                by name ("majority_vote" | "minimize_energy" | "discard")}
+//                every knob; "chain_break_policy" travels by name
+//                ("majority_vote" | "minimize_energy" | "discard")}
 // SampleSet     {"samples": [{"assignment": [0|1...], "energy": x,
 //                "chain_break_fraction": x}...]} plus two conditional
 //                fields omitted at their defaults so v1 payloads stay

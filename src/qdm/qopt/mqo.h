@@ -71,8 +71,8 @@ MqoSolution DecodeMqoSample(const MqoProblem& problem,
 /// strict DecodeMqoSample of the best sample out. Any registry name works —
 /// the hardware-embedded "embedded:<base>:<topology>" family (e.g.
 /// "embedded:simulated_annealing:pegasus:6" runs the Sec III-B physical
-/// level) and the "race:<b1>+<b2>" portfolios included. A batch of one
-/// (sequential, so options.rng is honored).
+/// level) and the "race:<b1>+<b2>" portfolios included. A batch of one,
+/// solved with options.seed.
 Result<MqoSolution> SolveMqo(const MqoProblem& problem,
                              const std::string& solver_name,
                              const anneal::SolverOptions& options,
@@ -83,9 +83,9 @@ Result<MqoSolution> SolveMqo(const MqoProblem& problem,
 /// through anneal::SolveBatchParallel (fanning out across `num_threads`
 /// pool workers when != 1), and strict-decodes each best sample.
 /// solutions[i] corresponds to problems[i]. Inherits the batch determinism
-/// guarantee: with options.rng == nullptr, problem i is solved with seed
-/// options.seed + i, independent of thread count. All-or-nothing on failure
-/// (lowest failing instance reported).
+/// guarantee: problem i is solved with seed options.seed + i, independent
+/// of thread count. All-or-nothing on failure (lowest failing instance
+/// reported).
 Result<std::vector<MqoSolution>> SolveMqoBatch(
     const std::vector<MqoProblem>& problems, const std::string& solver_name,
     const anneal::SolverOptions& options, double penalty = 0.0,

@@ -44,14 +44,13 @@ namespace qopt {
 /// identical across every application:
 ///
 ///  - RunBatch dispatches through anneal::SolveBatchParallel: instance i is
-///    solved with seed options.seed + i when options.rng == nullptr, so
-///    results are bit-identical at every num_threads value; a shared rng is
-///    honored only on the sequential num_threads == 1 path.
+///    solved with seed options.seed + i, so results are bit-identical at
+///    every num_threads value.
 ///  - Failures are all-or-nothing with the lowest failing instance named
 ///    ("batch instance <i>:"), and an empty sample set is an Internal error
 ///    (anneal::BestOfEach). Batches of one report the bare underlying error.
-///  - Run is a batch of one (sequential, so options.rng is honored) — both
-///    paths exercise the same code.
+///  - Run is a batch of one (solved with options.seed) — both paths
+///    exercise the same code.
 ///
 /// Decoders receive the full best anneal::Sample (not just the assignment)
 /// so applications can also surface energies or chain-break fractions.

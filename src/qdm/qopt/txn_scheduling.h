@@ -58,7 +58,7 @@ Schedule DecodeSchedule(const TxnScheduleProblem& problem,
 /// Transaction scheduling end-to-end through the shared qopt::QuboPipeline:
 /// TxnScheduleToQubo in, registry dispatch to `solver_name` (any name,
 /// including "embedded:*" and "race:*"), strict DecodeSchedule of the best
-/// sample out. A batch of one (sequential, so options.rng is honored).
+/// sample out. A batch of one, solved with options.seed.
 Result<Schedule> SolveTxnSchedule(const TxnScheduleProblem& problem,
                                   const std::string& solver_name,
                                   const anneal::SolverOptions& options,
@@ -70,9 +70,9 @@ Result<Schedule> SolveTxnSchedule(const TxnScheduleProblem& problem,
 /// scheduling encoder/decoder: encodes every epoch, dispatches the batch
 /// through anneal::SolveBatchParallel (fanning out across `num_threads`
 /// pool workers when != 1), strict-decodes each best sample.
-/// schedules[i] corresponds to epochs[i]. With options.rng == nullptr,
-/// epoch i is solved with seed options.seed + i — bit-identical results for
-/// every thread count. All-or-nothing on failure.
+/// schedules[i] corresponds to epochs[i]. Epoch i is solved with seed
+/// options.seed + i — bit-identical results for every thread count.
+/// All-or-nothing on failure.
 Result<std::vector<Schedule>> SolveTxnScheduleEpochs(
     const std::vector<TxnScheduleProblem>& epochs,
     const std::string& solver_name, const anneal::SolverOptions& options,

@@ -159,12 +159,6 @@ Result<std::shared_ptr<SolverService::Impl::Job>> SolverService::Impl::Enqueue(
     const std::shared_ptr<Impl>& impl, const std::string& solver_name,
     std::vector<Qubo> qubos, const SolverOptions& options,
     const SubmitOptions& submit) {
-  if (options.rng != nullptr) {
-    return Status::InvalidArgument(
-        "async submission requires seed-based randomness (options.rng must "
-        "be null): a shared Rng cannot cross the service boundary "
-        "deterministically");
-  }
   QDM_RETURN_IF_ERROR(anneal::ValidateSolverOptions(options));
   if (submit.deadline.count() < 0) {
     return Status::InvalidArgument(

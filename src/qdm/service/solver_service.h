@@ -48,8 +48,7 @@ struct SubmittedBatch {
 /// Solve(qubo, options) for Submit, SolveBatchParallel's per-instance
 /// seed + index derivation for SubmitBatch, SolveWith("race:...") for
 /// SubmitRace — regardless of queue interleaving, worker count, or what
-/// other jobs are in flight. options.rng must be null (InvalidArgument):
-/// a shared Rng cannot cross the async boundary deterministically.
+/// other jobs are in flight.
 ///
 /// Error taxonomy: submission-time errors (unknown solver name ->
 /// NotFound, malformed "embedded:"/"race:" spec -> InvalidArgument, bad

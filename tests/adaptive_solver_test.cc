@@ -17,7 +17,6 @@
 
 #include "qdm/anneal/adaptive_solver.h"
 #include "qdm/anneal/solver.h"
-#include "qdm/common/rng.h"
 #include "qdm/common/status.h"
 
 namespace qdm {
@@ -347,27 +346,6 @@ TEST(AdaptiveSolverTest, NoisyWrappedSelectorKeepsItsScheduleInBatches) {
   // The commit-phase decisions really crossed the boundary.
   EXPECT_EQ((*one)[0].decision().rfind("explore:", 0), 0u);
   EXPECT_EQ((*one)[qubos.size() - 1].decision().rfind("commit:", 0), 0u);
-}
-
-TEST(AdaptiveSolverTest, SharedRngIsHonoredSequentially) {
-  // A caller-shared Rng is legal on the sequential path and advances
-  // through both phases without aborting; fanning it out is rejected by
-  // the batch machinery as for every backend.
-  auto created = SolverRegistry::Global().Create(kDefaultName);
-  ASSERT_TRUE(created.ok()) << created.status();
-  Rng rng(99);
-  SolverOptions options = FastOptions(0);
-  options.rng = &rng;
-  const std::vector<Qubo> qubos =
-      SmallBatch(AdaptiveSolver::kExploreInstances + 1);
-  for (size_t i = 0; i < qubos.size(); ++i) {
-    auto samples = (*created)->Solve(qubos[i], options);
-    ASSERT_TRUE(samples.ok()) << "solve " << i << ": " << samples.status();
-    EXPECT_FALSE(samples->empty()) << "solve " << i;
-  }
-  auto rejected = SolveBatchParallel(kDefaultName, qubos, options, 4);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -79,15 +79,12 @@ TEST(BatchSolverTest, DefaultSolveBatchMatchesPerInstanceDerivedSolve) {
   }
 }
 
-TEST(BatchSolverTest, DeriveBatchOptionsShiftsSeedAndClearsRng) {
-  Rng rng(1);
+TEST(BatchSolverTest, DeriveBatchOptionsShiftsSeed) {
   SolverOptions options;
   options.seed = 100;
-  options.rng = &rng;
   options.num_sweeps = 7;
   SolverOptions derived = DeriveBatchOptions(options, 5);
   EXPECT_EQ(derived.seed, 105u);
-  EXPECT_EQ(derived.rng, nullptr);
   EXPECT_EQ(derived.num_sweeps, 7);
 }
 
@@ -138,22 +135,6 @@ TEST(BatchSolverTest, BatchOfOneReportsTheBareUnderlyingError) {
   EXPECT_EQ(result.status().message().find("batch instance"),
             std::string::npos)
       << result.status().message();
-}
-
-TEST(BatchSolverTest, SharedRngIsRejectedUnlessStrictlySequential) {
-  const std::vector<Qubo> qubos = SmallBatch(3);
-  Rng rng(5);
-  SolverOptions options = FastOptions(0);
-  options.rng = &rng;
-  auto parallel = SolveBatchParallel("simulated_annealing", qubos, options, 4);
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), StatusCode::kInvalidArgument);
-
-  // num_threads == 1 is the sequential reference path and honors the rng.
-  auto sequential =
-      SolveBatchParallel("simulated_annealing", qubos, options, 1);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_EQ(sequential->size(), qubos.size());
 }
 
 TEST(BatchSolverTest, EmptyBatchSucceedsWithEmptyResult) {

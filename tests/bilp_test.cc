@@ -167,7 +167,7 @@ TEST(BilpApplicationsTest, FullPipelineBilpToQuboToAnnealer) {
 
   anneal::SolverOptions options;
   options.num_reads = 20;
-  options.rng = &rng;
+  options.seed = 13;
   Result<anneal::SampleSet> set =
       anneal::SolveWith("tabu_search", *qubo, options);
   ASSERT_TRUE(set.ok()) << set.status();

@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
 #include "qdm/anneal/chimera.h"
 #include "qdm/anneal/embedding.h"
 #include "qdm/anneal/exact_solver.h"
-#include "qdm/anneal/simulated_annealing.h"
+#include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 
 namespace qdm {
@@ -174,7 +173,7 @@ TEST(EmbedQuboTest, AlignedGroundStateReproducesLogicalEnergy) {
   EXPECT_NEAR(physical_best.energy, logical_best.energy, 1e-9);
 }
 
-TEST(EmbeddedSamplerTest, EndToEndMatchesLogicalOptimum) {
+TEST(EmbeddedBackendTest, EndToEndMatchesLogicalOptimum) {
   Rng rng(9);
   Qubo logical(8);
   for (int i = 0; i < 8; ++i) logical.AddLinear(i, rng.Uniform(-1, 1));
@@ -185,14 +184,18 @@ TEST(EmbeddedSamplerTest, EndToEndMatchesLogicalOptimum) {
   }
   const double optimum = ExactSolver::Solve(logical).energy;
 
-  SimulatedAnnealer base{AnnealSchedule{.num_sweeps = 400}};
-  EmbeddedSampler sampler(&base, std::make_shared<ChimeraGraph>(2, 2, 4),
-                          /*chain_strength=*/3.0);
-  SampleSet set = sampler.SampleQubo(logical, 20, &rng);
-  EXPECT_NEAR(set.best().energy, optimum, 1e-9);
+  SolverOptions options;
+  options.num_reads = 20;
+  options.seed = 9;
+  options.num_sweeps = 400;
+  options.chain_strength = 3.0;
+  Result<SampleSet> set = SolveWith(
+      "embedded:simulated_annealing:chimera:2x2x4", logical, options);
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_NEAR(set->best().energy, optimum, 1e-9);
 }
 
-TEST(EmbeddedSamplerTest, WeakChainsBreak) {
+TEST(EmbeddedBackendTest, WeakChainsBreak) {
   // With a vanishing chain strength, frustrated logical couplings tear chains
   // apart; the sampler should report chain breaks.
   Qubo logical(6);
@@ -203,13 +206,16 @@ TEST(EmbeddedSamplerTest, WeakChainsBreak) {
   }
   for (int i = 0; i < 6; ++i) logical.AddLinear(i, -7.0);
 
-  Rng rng(21);
-  SimulatedAnnealer base{AnnealSchedule{.num_sweeps = 100}};
-  EmbeddedSampler weak(&base, std::make_shared<ChimeraGraph>(2, 2, 4),
-                       /*chain_strength=*/0.05);
-  SampleSet set = weak.SampleQubo(logical, 30, &rng);
+  SolverOptions weak;
+  weak.num_reads = 30;
+  weak.seed = 21;
+  weak.num_sweeps = 100;
+  weak.chain_strength = 0.05;
+  Result<SampleSet> set = SolveWith(
+      "embedded:simulated_annealing:chimera:2x2x4", logical, weak);
+  ASSERT_TRUE(set.ok()) << set.status();
   double total_breaks = 0;
-  for (const auto& s : set.samples()) total_breaks += s.chain_break_fraction;
+  for (const auto& s : set->samples()) total_breaks += s.chain_break_fraction;
   EXPECT_GT(total_breaks, 0.0);
 }
 

@@ -9,15 +9,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "qdm/anneal/exact_solver.h"
-#include "qdm/anneal/parallel_tempering.h"
 #include "qdm/anneal/qubo.h"
-#include "qdm/anneal/simulated_annealing.h"
-#include "qdm/anneal/tabu_search.h"
+#include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 
 namespace qdm {
@@ -190,17 +187,18 @@ TEST(FrozenQuboTest, ExactSolverAgreesWithBruteForceUpToTwelveVariables) {
 // Qubo::Energy of the returned assignment exactly, never a running sum, so
 // equal assignments carry equal energies across backends.
 TEST(FrozenQuboTest, KernelSamplersReportCanonicalEnergies) {
-  std::vector<std::unique_ptr<Sampler>> samplers;
-  samplers.push_back(std::make_unique<SimulatedAnnealer>());
-  samplers.push_back(std::make_unique<ParallelTempering>());
-  samplers.push_back(std::make_unique<TabuSearch>());
-  samplers.push_back(std::make_unique<ExactSolver>());
+  const std::vector<std::string> backends{
+      "simulated_annealing", "parallel_tempering", "tabu_search", "exact"};
   Rng rng(53);
   const Qubo q = RandomQubo(14, 0.6, &rng);
-  for (const auto& sampler : samplers) {
-    SCOPED_TRACE(sampler->name());
-    const SampleSet set = sampler->SampleQubo(q, 6, &rng);
-    for (const Sample& s : set.samples()) {
+  SolverOptions options;
+  options.num_reads = 6;
+  for (size_t i = 0; i < backends.size(); ++i) {
+    SCOPED_TRACE(backends[i]);
+    options.seed = 53 + i;
+    const Result<SampleSet> set = SolveWith(backends[i], q, options);
+    ASSERT_TRUE(set.ok()) << set.status();
+    for (const Sample& s : set->samples()) {
       EXPECT_EQ(s.energy, q.Energy(s.assignment));
     }
   }

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "qdm/anneal/chimera.h"
-#include "qdm/anneal/embedding.h"
+#include <string>
+#include <vector>
+
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 #include "qdm/db/executor.h"
@@ -29,19 +30,18 @@ TEST(IntegrationTest, WorkloadToChimeraToExecutedPlan) {
   qopt::JoinOrderQubo encoding(workload.graph);
   ASSERT_EQ(encoding.num_variables(), 16);
 
-  // 16 logical variables embed into Chimera C(4,4,4). The base annealer is
-  // fetched from the solver registry and adapted to the Sampler interface
-  // for the embedding combinator.
-  auto base_solver =
-      anneal::SolverRegistry::Global().Create("simulated_annealing");
-  ASSERT_TRUE(base_solver.ok()) << base_solver.status();
-  std::unique_ptr<anneal::Sampler> base =
-      anneal::WrapAsSampler(std::move(*base_solver), {.num_sweeps = 1500});
-  anneal::EmbeddedSampler sampler(
-      base.get(), std::make_shared<anneal::ChimeraGraph>(4, 4, 4),
-      /*chain_strength=*/60.0);
-  anneal::SampleSet samples = sampler.SampleQubo(encoding.qubo(), 30, &rng);
-  std::vector<int> order = encoding.DecodeWithRepair(samples.best().assignment);
+  // 16 logical variables embed into Chimera C(4,4,4), through the
+  // registry's embedded annealing backend.
+  anneal::SolverOptions options;
+  options.num_reads = 30;
+  options.seed = 1;
+  options.num_sweeps = 1500;
+  options.chain_strength = 60.0;
+  Result<anneal::SampleSet> samples = anneal::SolveWith(
+      "embedded:simulated_annealing:chimera:4x4x4", encoding.qubo(), options);
+  ASSERT_TRUE(samples.ok()) << samples.status();
+  std::vector<int> order =
+      encoding.DecodeWithRepair(samples->best().assignment);
 
   auto quantum_result = db::ExecuteJoinTree(db::LeftDeepFromPermutation(order),
                                             workload.graph, workload.catalog);
@@ -70,10 +70,12 @@ TEST(IntegrationTest, MqoBackendsAgreeOnOptimum) {
   options.num_sweeps = 1000;
   options.layers = 3;
   options.restarts = 4;
-  options.rng = &rng;
 
-  for (const std::string backend :
-       {"simulated_annealing", "tabu_search", "exact", "qaoa"}) {
+  const std::vector<std::string> backends{"simulated_annealing",
+                                          "tabu_search", "exact", "qaoa"};
+  for (size_t i = 0; i < backends.size(); ++i) {
+    const std::string& backend = backends[i];
+    options.seed = 2 + i;
     Result<anneal::SampleSet> set = anneal::SolveWith(backend, qubo, options);
     ASSERT_TRUE(set.ok()) << backend << ": " << set.status();
     qopt::MqoSolution decoded =

@@ -115,9 +115,9 @@ TEST(JoinOrderEndToEndTest, AnnealerFindsProxyOptimalOrder) {
   anneal::SolverOptions options;
   options.num_reads = 30;
   options.num_sweeps = 500;
-  options.rng = &rng;
   int solved = 0;
   for (int trial = 0; trial < 5; ++trial) {
+    options.seed = 17 + trial;
     db::JoinGraph g = db::JoinGraph::RandomChain(4, &rng);
     Result<JoinOrderSolution> solution =
         SolveJoinOrder(g, "simulated_annealing", options);

@@ -118,9 +118,9 @@ TEST(MqoEndToEndTest, AnnealerSolvesGeneratedInstances) {
   anneal::SolverOptions options;
   options.num_reads = 50;
   options.num_sweeps = 1000;
-  options.rng = &rng;
   int solved = 0;
   for (int trial = 0; trial < 5; ++trial) {
+    options.seed = 11 + trial;
     MqoProblem p = GenerateMqoProblem(5, 3, 0.3, &rng);
     Result<MqoSolution> decoded = SolveMqo(p, "simulated_annealing", options);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -134,13 +134,12 @@ TEST(MqoEndToEndTest, AnnealerSolvesGeneratedInstances) {
 
 TEST(MqoEndToEndTest, QaoaSolvesTinyInstance) {
   // The gate-based arm of Figure 2 on the running MQO example.
-  Rng rng(13);
   MqoProblem p = TinyProblem();
   anneal::SolverOptions options;
   options.num_reads = 60;
   options.layers = 3;
   options.restarts = 4;
-  options.rng = &rng;
+  options.seed = 13;
   Result<MqoSolution> decoded = SolveMqo(p, "qaoa", options);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_TRUE(decoded->feasible);

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -484,6 +485,35 @@ TEST(NetLifecycleTest, StopDrainsAndStopsAccepting) {
   // The port no longer answers.
   auto after = HttpRoundTrip(port, "GET", "/healthz", "");
   EXPECT_FALSE(after.ok());
+}
+
+/// This process's VmSize (mapped virtual memory) in kB, from
+/// /proc/self/status; -1 when unavailable.
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(NetLifecycleTest, FinishedConnectionsAreReaped) {
+  // Every QdmClient call is one short connection. A finished connection
+  // thread that is never joined keeps its stack (8 MB by default) mapped,
+  // so 2000 of them would grow VmSize by ~16 GB; reaped, the growth stays
+  // at a few live stacks.
+  std::unique_ptr<QdmServer> server = StartServer(2);
+  QdmClient client(server->port());
+  ASSERT_TRUE(client.Healthz().ok());
+  const long before_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(client.Healthz().ok()) << "probe " << i;
+  }
+  const long growth_mb = (VmSizeKb() - before_kb) / 1024;
+  EXPECT_LT(growth_mb, 512);
+  server->Stop();
 }
 
 TEST(NetLifecycleTest, KeepAliveConnectionServesManyRequests) {

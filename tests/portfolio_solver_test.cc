@@ -11,7 +11,6 @@
 
 #include "qdm/anneal/portfolio_solver.h"
 #include "qdm/anneal/solver.h"
-#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
@@ -218,22 +217,6 @@ TEST(PortfolioSolverTest, UnknownMemberSurfacesBeforeAnyFanOut) {
   EXPECT_NE(raced.status().message().find("race member 1 ('warp_drive')"),
             std::string::npos)
       << raced.status().message();
-}
-
-TEST(PortfolioSolverTest, SharedRngIsRejectedUnlessStrictlySequential) {
-  const Qubo qubo = SmallQubo();
-  Rng rng(3);
-  SolverOptions options = FastOptions(0);
-  options.rng = &rng;
-  auto parallel = SolveRaceParallel({"simulated_annealing", "tabu_search"},
-                                    qubo, options, 4);
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), StatusCode::kInvalidArgument);
-
-  auto sequential = SolveRaceParallel({"simulated_annealing", "tabu_search"},
-                                      qubo, options, 1);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_FALSE(sequential->empty());
 }
 
 TEST(PortfolioSolverTest, EmptyMemberListIsInvalid) {

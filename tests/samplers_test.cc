@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 
 #include "qdm/anneal/exact_solver.h"
-#include "qdm/anneal/parallel_tempering.h"
 #include "qdm/anneal/qubo.h"
 #include "qdm/anneal/simulated_annealing.h"
-#include "qdm/anneal/tabu_search.h"
+#include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 
 namespace qdm {
@@ -55,43 +54,50 @@ TEST(ExactSolverTest, GrayCodeMatchesBruteForce) {
 
 class HeuristicSamplerTest : public ::testing::TestWithParam<int> {
  protected:
-  std::unique_ptr<Sampler> MakeSampler() {
+  std::string BackendName() {
     switch (GetParam()) {
       case 0:
-        return std::make_unique<SimulatedAnnealer>();
+        return "simulated_annealing";
       case 1:
-        return std::make_unique<ParallelTempering>();
+        return "parallel_tempering";
       default:
-        return std::make_unique<TabuSearch>();
+        return "tabu_search";
     }
   }
 };
 
 TEST_P(HeuristicSamplerTest, ReachesExactOptimumOnSmallProblems) {
   Rng rng(17);
-  auto sampler = MakeSampler();
+  const std::string name = BackendName();
+  SolverOptions options;
+  options.num_reads = 10;
   int solved = 0;
   const int kTrials = 10;
   for (int trial = 0; trial < kTrials; ++trial) {
     Qubo q = RandomQubo(12, 0.4, &rng);
     const double optimum = ExactSolver::Solve(q).energy;
-    SampleSet set = sampler->SampleQubo(q, 10, &rng);
-    if (set.best().energy <= optimum + 1e-9) ++solved;
+    options.seed = 17 + trial;
+    Result<SampleSet> set = SolveWith(name, q, options);
+    ASSERT_TRUE(set.ok()) << name << ": " << set.status();
+    if (set->best().energy <= optimum + 1e-9) ++solved;
     // Reported energies must be self-consistent.
-    EXPECT_NEAR(q.Energy(set.best().assignment), set.best().energy, 1e-9);
+    EXPECT_NEAR(q.Energy(set->best().assignment), set->best().energy, 1e-9);
   }
-  EXPECT_GE(solved, 9) << sampler->name()
-                       << " should solve nearly all 12-var instances";
+  EXPECT_GE(solved, 9) << name << " should solve nearly all 12-var instances";
 }
 
 TEST_P(HeuristicSamplerTest, SampleSetSortedByEnergy) {
   Rng rng(23);
-  auto sampler = MakeSampler();
+  const std::string name = BackendName();
   Qubo q = RandomQubo(10, 0.5, &rng);
-  SampleSet set = sampler->SampleQubo(q, 8, &rng);
-  ASSERT_EQ(set.size(), 8u);
-  for (size_t i = 1; i < set.size(); ++i) {
-    EXPECT_LE(set.samples()[i - 1].energy, set.samples()[i].energy);
+  SolverOptions options;
+  options.num_reads = 8;
+  options.seed = 23;
+  Result<SampleSet> set = SolveWith(name, q, options);
+  ASSERT_TRUE(set.ok()) << name << ": " << set.status();
+  ASSERT_EQ(set->size(), 8u);
+  for (size_t i = 1; i < set->size(); ++i) {
+    EXPECT_LE(set->samples()[i - 1].energy, set->samples()[i].energy);
   }
 }
 

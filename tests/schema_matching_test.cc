@@ -109,9 +109,9 @@ TEST(SchemaMatchingEndToEndTest, AnnealerRecoversPlantedMatching) {
   anneal::SolverOptions options;
   options.num_reads = 20;
   options.num_sweeps = 300;
-  options.rng = &rng;
   int optimal_count = 0;
   for (int trial = 0; trial < 5; ++trial) {
+    options.seed = 11 + trial;
     SchemaMatchingProblem p = GenerateSchemaMatching(5, 5, 0.05, &rng);
     Result<Matching> decoded =
         SolveSchemaMatching(p, "simulated_annealing", options);

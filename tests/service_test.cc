@@ -778,16 +778,8 @@ TEST(ServiceErrorTest, BatchInstanceFailureKeepsItsSyncAnnotation) {
   EXPECT_EQ(poll->state, JobState::kFailed);
 }
 
-TEST(ServiceErrorTest, SharedRngAndBadOptionsAreRejectedAtSubmit) {
+TEST(ServiceErrorTest, BadOptionsAreRejectedAtSubmit) {
   SolverService service;
-  Rng rng(1);
-  SolverOptions with_rng = FastOptions(1);
-  with_rng.rng = &rng;
-  auto submitted =
-      service.Submit("simulated_annealing", MakeQubo(3, 7), with_rng);
-  ASSERT_FALSE(submitted.ok());
-  EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument);
-
   SolverOptions bad_reads = FastOptions(1);
   bad_reads.num_reads = 0;
   auto rejected =

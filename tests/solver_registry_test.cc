@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "qdm/anneal/solver.h"
-#include "qdm/common/rng.h"
 
 namespace qdm {
 namespace anneal {
@@ -73,12 +72,11 @@ TEST(SolverRegistryTest, DuplicateRegistrationIsRejected) {
 TEST(SolverRegistryTest, EverySolverProducesValidSamplesOnKnownGroundState) {
   const Qubo q = KnownGroundStateQubo();
   for (const std::string& name : SolverRegistry::Global().RegisteredNames()) {
-    Rng rng(7);
     SolverOptions options;
     options.num_reads = 40;
     options.num_sweeps = 400;
     options.restarts = 4;
-    options.rng = &rng;
+    options.seed = 7;
     auto result = SolveWith(name, q, options);
     ASSERT_TRUE(result.ok()) << name << ": " << result.status();
     ASSERT_FALSE(result->empty()) << name;
@@ -185,21 +183,6 @@ TEST(SolverRegistryTest, OversizedProblemsFailWithStatusNotDeath) {
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
   }
-}
-
-TEST(SolverRegistryTest, WrapAsSamplerBridgesBackToSamplerInterface) {
-  auto solver = SolverRegistry::Global().Create("tabu_search");
-  ASSERT_TRUE(solver.ok());
-  SolverOptions fixed;
-  fixed.max_iterations = 300;
-  std::unique_ptr<Sampler> sampler =
-      WrapAsSampler(std::move(*solver), fixed);
-  EXPECT_EQ(sampler->name(), "tabu_search");
-  Rng rng(3);
-  const Qubo q = KnownGroundStateQubo();
-  SampleSet set = sampler->SampleQubo(q, 8, &rng);
-  ASSERT_FALSE(set.empty());
-  EXPECT_NEAR(set.best().energy, kGroundEnergy, 1e-9);
 }
 
 }  // namespace

@@ -106,8 +106,8 @@ TEST(TwoPhaseLockingTest, QuboScheduleEliminatesBlocking) {
   anneal::SolverOptions options;
   options.num_reads = 20;
   options.num_sweeps = 400;
-  options.rng = &rng;
   for (int trial = 0; trial < 4; ++trial) {
+    options.seed = 7 + trial;
     TxnScheduleProblem p = GenerateTxnSchedule(6, 8, 2, 0, &rng);
     Result<Schedule> schedule =
         SolveTxnSchedule(p, "simulated_annealing", options);
@@ -122,13 +122,12 @@ TEST(TwoPhaseLockingTest, QuboScheduleEliminatesBlocking) {
 TEST(TxnGroverTest, GroverScheduleSearchMatchesExhaustive) {
   // The Grover-based variant of [31] on a tiny instance: 4 txns x 2 slots =
   // 8 qubits.
-  Rng rng(11);
   TxnScheduleProblem p;
   p.lock_sets = {{0}, {0}, {1}, {1}};
   p.num_slots = 2;
   anneal::SolverOptions options;
   options.num_reads = 3;
-  options.rng = &rng;
+  options.seed = 11;
   Result<Schedule> schedule = SolveTxnSchedule(p, "grover_min", options);
   ASSERT_TRUE(schedule.ok()) << schedule.status();
   ASSERT_TRUE(schedule->feasible);

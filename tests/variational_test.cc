@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "qdm/algo/grover_min_sampler.h"
 #include "qdm/algo/optimizers.h"
 #include "qdm/algo/qaoa.h"
 #include "qdm/algo/vqe.h"
 #include "qdm/anneal/exact_solver.h"
+#include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
 
 namespace qdm {
@@ -172,14 +176,19 @@ TEST(SamplerPolymorphismTest, AllBackendsShareTheInterface) {
   // The Figure-2 promise: one QUBO, interchangeable quantum backends.
   anneal::Qubo q = SmallFrustratedQubo();
   const double optimum = anneal::ExactSolver::Solve(q).energy;
-  QaoaSampler qaoa(QaoaSampler::Options{.layers = 3, .restarts = 3});
-  VqeSampler vqe(VqeSampler::Options{.layers = 2, .restarts = 3});
-  GroverMinSampler grover;
-  std::vector<anneal::Sampler*> backends{&qaoa, &vqe, &grover};
-  Rng rng(10);
-  for (anneal::Sampler* backend : backends) {
-    anneal::SampleSet set = backend->SampleQubo(q, 40, &rng);
-    EXPECT_NEAR(set.best().energy, optimum, 1e-9) << backend->name();
+  // {backend, layers}; grover_min reads no layers or restarts.
+  const std::vector<std::pair<std::string, int>> backends{
+      {"qaoa", 3}, {"vqe", 2}, {"grover_min", 0}};
+  for (size_t i = 0; i < backends.size(); ++i) {
+    const auto& [name, layers] = backends[i];
+    anneal::SolverOptions options;
+    options.num_reads = 40;
+    options.seed = 10 + i;
+    options.layers = layers;
+    options.restarts = 3;
+    Result<anneal::SampleSet> set = anneal::SolveWith(name, q, options);
+    ASSERT_TRUE(set.ok()) << name << ": " << set.status();
+    EXPECT_NEAR(set->best().energy, optimum, 1e-9) << name;
   }
 }
 

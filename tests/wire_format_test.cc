@@ -237,7 +237,6 @@ TEST(WireSolverOptionsTest, AllKnobsRoundTrip) {
   EXPECT_EQ(decoded->max_qubits, options.max_qubits);
   EXPECT_TRUE(BitEqual(decoded->chain_strength, options.chain_strength));
   EXPECT_EQ(decoded->chain_break_policy, options.chain_break_policy);
-  EXPECT_EQ(decoded->rng, nullptr);
 }
 
 TEST(WireSolverOptionsTest, OmittedKnobsDefault) {
