@@ -225,8 +225,9 @@ int main(int argc, char** argv) {
 
   // (6) Per-topology embedded batch sweep: the same logical batch fanned out
   // through SolveBatchParallel under each hardware topology's registry
-  // backend. Reuses PR 2's ThreadPool seam; results must be bit-identical
-  // at every thread count (asserted inside RunThreadSweep).
+  // backend, on the shared pool's capped ForEach like every other batch;
+  // results must be bit-identical at every thread count (asserted inside
+  // RunThreadSweep).
   std::vector<qdm::anneal::Qubo> batch;
   {
     qdm::Rng batch_rng(4242);

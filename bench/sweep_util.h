@@ -7,6 +7,9 @@
 #ifndef QDM_BENCH_SWEEP_UTIL_H_
 #define QDM_BENCH_SWEEP_UTIL_H_
 
+#include <time.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -96,10 +99,20 @@ class MetricsJson {
   std::vector<std::pair<std::string, double>> exact_metrics_;
 };
 
+/// CPU time consumed so far by every thread of this process, in ms.
+inline double ProcessCpuMs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return 1e3 * static_cast<double>(ts.tv_sec) + 1e-6 * ts.tv_nsec;
+}
+
 /// Runs `solve(threads)` for threads in {1, 2, 4, 8}, timing each pass and
 /// QDM_CHECKing results equal (`equal`) to the 1-thread reference — the
 /// batch determinism guarantee, asserted at bench runtime. Prints a
-/// `header` + table (items/s, speedup vs 1 thread) and records
+/// `header`, the online core count and a table (items/s, speedup vs 1
+/// thread, and the pass's effective parallelism: process CPU time ÷ wall
+/// time, which a preempted or shared host pushes below the thread count;
+/// table output only, never a metric) and records
 /// "<metric_prefix>_t<T>" -> items_per_second metrics for
 /// scripts/perf_gate.py: into `collector` when one is given (the caller
 /// aggregates several sweeps into one file), otherwise into a standalone
@@ -113,7 +126,7 @@ inline Batch RunThreadSweep(
     const char* metric_prefix, const SweepFlags& flags,
     MetricsJson* collector = nullptr) {
   qdm::TablePrinter table({"threads", "batch", "total ms", items_column,
-                           "speedup", "identical"});
+                           "speedup", "cpu/wall", "identical"});
   Batch reference;
   double base_items_per_s = 0.0;
   int diverged_at = 0;  // 0 = all thread counts matched the reference.
@@ -122,11 +135,13 @@ inline Batch RunThreadSweep(
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   for (size_t t = 0; t < thread_counts.size(); ++t) {
     const int threads = thread_counts[t];
+    const double cpu_start_ms = ProcessCpuMs();
     const auto start = std::chrono::steady_clock::now();
     Batch batch = solve(threads);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
+    const double cpu_ms = ProcessCpuMs() - cpu_start_ms;
     const double items_per_s = 1000.0 * num_items / ms;
     bool identical = true;
     if (threads == 1) {
@@ -141,6 +156,7 @@ inline Batch RunThreadSweep(
                   qdm::StrFormat("%.1f", ms),
                   qdm::StrFormat("%.1f", items_per_s),
                   qdm::StrFormat("%.2fx", items_per_s / base_items_per_s),
+                  qdm::StrFormat("%.2f", cpu_ms / ms),
                   identical ? "yes" : "NO"});
     metrics->Add(qdm::StrFormat("%s_t%d", metric_prefix, threads),
                  items_per_s);
@@ -148,7 +164,8 @@ inline Batch RunThreadSweep(
   // Print the full table before enforcing determinism, so a violation still
   // leaves the per-thread evidence on screen; abort before writing JSON so
   // the perf gate never ingests numbers from a broken run.
-  std::printf("%s\n%s\n", header, table.ToString().c_str());
+  std::printf("%s\nonline cores: %ld\n%s\n", header,
+              sysconf(_SC_NPROCESSORS_ONLN), table.ToString().c_str());
   QDM_CHECK(diverged_at == 0) << metric_prefix << " results diverged at "
                               << diverged_at << " threads";
   if (collector == nullptr && flags.json_path != nullptr) {

@@ -28,7 +28,7 @@ std::string DecisionString(const char* phase, int arm,
   return StrFormat("%s:%d:%s", phase, arm, member.c_str());
 }
 
-/// Builds one backend per member name — the per-worker member sets of the
+/// Builds one backend per member name — the per-slot member sets of the
 /// threaded batch path. Members were already resolved when the adaptive
 /// solver was built, so failures here are unexpected, but they keep the
 /// Make-time annotation if they happen.
@@ -126,7 +126,6 @@ Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
   QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
   if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
   const size_t n = qubos.size();
-  if (num_threads == 1 || n <= 1) return SolveBatch(qubos, options);
 
   // Positional schedule from the instance's current counter: the first
   // `explore` instances race, the rest run the committed member. A fresh
@@ -137,20 +136,21 @@ Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
       solves_seen_ < static_cast<uint64_t>(kExploreInstances)
           ? static_cast<uint64_t>(kExploreInstances) - solves_seen_
           : 0;
-  const size_t explore = static_cast<size_t>(
+  const int explore = static_cast<int>(
       std::min<uint64_t>(static_cast<uint64_t>(n), remaining_explore));
+  const int commit = static_cast<int>(n) - explore;
 
-  // Worker-local member sets: a race inside one instance runs its members
-  // sequentially on that worker's own backends, so no backend is ever
-  // shared across threads. Set 0 reuses the instance's own members; the
-  // backend cache keeps the extra sets cheap.
-  const int workers =
-      std::min(num_threads, static_cast<int>(std::max<size_t>(
-                                explore, n - explore)));
+  // Slot-local member sets: a race inside one instance runs its members
+  // sequentially on that slot's own backends, so no backend is ever shared
+  // across threads. Set 0 reuses the instance's own members; the backend
+  // cache keeps the extra sets cheap. ForEach's slots stay below
+  // min(phase size, num_threads).
+  ThreadPool& pool = ThreadPool::Shared();
+  const int slots = std::min(num_threads, std::max(explore, commit));
   std::vector<std::vector<std::unique_ptr<QuboSolver>>> extra_sets;
   std::vector<std::vector<QuboSolver*>> sets;
   sets.push_back(RawPointers(member_solvers_));
-  for (int w = 1; w < workers; ++w) {
+  for (int slot = 1; slot < slots; ++slot) {
     QDM_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<QuboSolver>> set,
                          CreateMemberSet(registry_name_, members_));
     extra_sets.push_back(std::move(set));
@@ -159,24 +159,22 @@ Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
 
   std::vector<SampleSet> results(n);
 
-  // Explore phase: each worker races all members for the instances it
+  // Explore phase: each slot races all members for the instances it
   // drains (inner races sequential — the parallelism is across instances).
   std::vector<Result<RaceOutcome>> races(explore,
                                          Status::Internal("not raced"));
-  ThreadPool::ParallelForWorkers(
-      std::min(num_threads, static_cast<int>(explore)),
-      static_cast<int>(explore),
-      [this, &sets, &qubos, &options, &races](int worker, int i) {
-        races[i] =
-            RaceMemberSolvers(members_, sets[worker], qubos[i],
-                              DeriveBatchOptions(options, i),
-                              /*num_threads=*/1, kMemberLabel);
-      });
+  pool.ForEach(explore, num_threads,
+               [this, &sets, &qubos, &options, &races](int slot, int i) {
+                 races[i] = RaceMemberSolvers(
+                     members_, sets[slot], qubos[i],
+                     DeriveBatchOptions(options, i), /*num_threads=*/1,
+                     kMemberLabel);
+               });
   // Tally sequentially in instance order — the win counts and the commit
   // decision are a pure function of the batch, not of the fan-out. The
   // counter advances per successful instance, mirroring the sequential
   // reference's stop-at-first-failure accounting.
-  for (size_t i = 0; i < explore; ++i) {
+  for (int i = 0; i < explore; ++i) {
     if (!races[i].ok()) {
       return AnnotateBatchInstanceError(races[i].status(), i, n);
     }
@@ -187,19 +185,17 @@ Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
         DecisionString("explore", outcome.winner, members_[outcome.winner]));
     results[i] = std::move(outcome.samples);
   }
-  if (explore == n) return results;
+  if (commit == 0) return results;
 
   // Commit phase: only the winning member runs for the rest of the batch.
   const int w = committed_member();
-  const size_t commit = n - explore;
   std::vector<Status> statuses(commit);
-  ThreadPool::ParallelForWorkers(
-      std::min(num_threads, static_cast<int>(commit)),
-      static_cast<int>(commit),
+  pool.ForEach(
+      commit, num_threads,
       [this, &sets, &qubos, &options, &results, &statuses, w, explore](
-          int worker, int j) {
+          int slot, int j) {
         const size_t i = explore + j;
-        Result<SampleSet> samples = sets[worker][w]->Solve(
+        Result<SampleSet> samples = sets[slot][w]->Solve(
             qubos[i],
             DeriveBatchOptions(DeriveBatchOptions(options, i), w));
         if (!samples.ok()) {
@@ -218,7 +214,7 @@ Result<std::vector<SampleSet>> AdaptiveSolver::SolveBatchThreaded(
         samples->set_decision(DecisionString("commit", w, members_[w]));
         results[i] = std::move(samples).value();
       });
-  for (size_t j = 0; j < commit; ++j) {
+  for (int j = 0; j < commit; ++j) {
     if (!statuses[j].ok()) {
       return AnnotateBatchInstanceError(statuses[j], explore + j, n);
     }

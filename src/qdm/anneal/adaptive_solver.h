@@ -25,8 +25,10 @@ namespace anneal {
 /// Schedule: solve k of an instance's lifetime (Solve calls and batch
 /// instances advance the same counter) explores while k <
 /// kExploreInstances, commits after. The counter makes the instance
-/// STATEFUL across Solve calls, which is exactly what the per-worker batch
-/// fan-out cannot reuse across dynamically scheduled instances — so the
+/// STATEFUL across Solve calls, which is exactly what the per-slot batch
+/// fan-out cannot reuse across dynamically scheduled instances (and the
+/// member committed for instance i >= kExploreInstances is the argmax of
+/// the explore wins, not a function of i alone) — so the
 /// class reports SolvesWholeBatch() and SolveBatchParallel hands it the
 /// whole batch (SolveBatchThreaded), where it keeps the schedule
 /// positional and bit-identical at any thread count. A freshly Created

@@ -15,10 +15,10 @@ namespace anneal {
 /// Process-wide immutable cache for the expensive construction artifacts
 /// behind "embedded:<base>:<topology>" backend creation: HardwareTopology
 /// graphs and their clique-embedding plans. The batch substrate went from
-/// one backend per *instance* to one backend per *worker* (solver.h,
-/// SolveBatchParallel), but workers still each Create their own backend —
+/// one backend per *instance* to one backend per fan-out *slot* (solver.h,
+/// SolveBatchParallel), but slots still each Create their own backend —
 /// this cache is what makes that creation a shared_ptr lookup after first
-/// use instead of re-running the TRIAD construction per worker.
+/// use instead of re-running the TRIAD construction per slot.
 ///
 /// Semantics:
 ///

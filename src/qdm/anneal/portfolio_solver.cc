@@ -1,6 +1,5 @@
 #include "qdm/anneal/portfolio_solver.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "qdm/common/strings.h"
@@ -70,24 +69,16 @@ Result<RaceOutcome> RaceMemberSolvers(const std::vector<std::string>& members,
   const size_t n = members.size();
   std::vector<Result<SampleSet>> results(n, Status::Internal("not raced"));
   // Each member solves with its own derived seed — results are independent
-  // of which thread ran which member.
-  const auto race_member = [&members, &solvers, &qubo, &options, &results](
-                               int i) {
-    results[i] = SolveMember(solvers[i], members[i], qubo,
-                             DeriveBatchOptions(options, i));
-  };
-  if (num_threads == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) race_member(static_cast<int>(i));
-  } else if (num_threads > 1) {
-    ThreadPool::ParallelFor(std::min<int>(num_threads, static_cast<int>(n)),
-                            static_cast<int>(n), race_member);
-  } else {
-    // Composition default: the shared pool's caller-participating ForEach
-    // cannot deadlock when this race runs inside a SolveBatchParallel (or
-    // other pool) worker — worst case the calling thread races every member
-    // itself.
-    ThreadPool::Shared().ForEach(static_cast<int>(n), race_member);
-  }
+  // of which slot ran which member. The shared pool's caller-participating
+  // ForEach cannot deadlock when this race runs inside another pool task
+  // (a SolveBatchParallel slot, a service drainer): worst case the calling
+  // thread races every member itself.
+  ThreadPool::Shared().ForEach(
+      static_cast<int>(n), num_threads,
+      [&members, &solvers, &qubo, &options, &results](int, int i) {
+        results[i] = SolveMember(solvers[i], members[i], qubo,
+                                 DeriveBatchOptions(options, i));
+      });
 
   // Deterministic winner scan: strictly lower best energy wins; equal best
   // energies keep the earlier member (backend-order tie-break). Failed
@@ -164,8 +155,7 @@ Result<SampleSet> PortfolioSolver::Solve(const Qubo& qubo,
   std::vector<QuboSolver*> raw;
   raw.reserve(member_solvers_.size());
   for (const auto& solver : member_solvers_) raw.push_back(solver.get());
-  // Members hedge across the shared pool (deadlock-free under
-  // SolveBatchParallel workers).
+  // Members hedge across the shared pool, uncapped.
   QDM_ASSIGN_OR_RETURN(
       RaceOutcome outcome,
       RaceMemberSolvers(members_, raw, qubo, options, /*num_threads=*/0));

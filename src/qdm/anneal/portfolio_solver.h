@@ -32,12 +32,13 @@ namespace anneal {
 ///  - Unknown member names are surfaced up front (before any fan-out), as
 ///    the registry's Create error annotated with the member name.
 ///
-/// num_threads: 1 = strictly sequential on the calling thread; <= 0 = the
-/// composition default — members run on ThreadPool::Shared() via the
-/// caller-participating ForEach, which cannot deadlock when the race itself
-/// runs inside a SolveBatchParallel worker (the dispatching thread drains
-/// its own index counter); > 1 = a transient pool of min(num_threads,
-/// members) workers, mirroring SolveBatchParallel.
+/// num_threads caps how many members solve at once, the calling thread
+/// included, exactly as in SolveBatchParallel: members run on
+/// ThreadPool::Shared() through its capped, caller-participating ForEach,
+/// which spawns no thread and cannot deadlock when the race itself runs
+/// inside another pool task (the calling thread drains its own index
+/// counter). 1 = strictly sequential on the calling thread; <= 0 = no cap
+/// beyond the pool (the composition default).
 ///
 /// Seed-derivation composition note: SolveBatchParallel solves batch
 /// instance i with seed + i, so a "race:*" backend inside a batch solves
@@ -73,8 +74,8 @@ Result<RaceOutcome> RaceMemberSolvers(
     const std::string& member_label = "race member");
 
 /// QuboSolver combinator presenting a solver portfolio behind one registry
-/// name: Solve races the members across the shared ThreadPool (the
-/// SolveRaceParallel composition default) and SolveBatch inherits the
+/// name: Solve races the members across the shared ThreadPool, uncapped
+/// (the SolveRaceParallel composition default), and SolveBatch inherits the
 /// sequential reference, so "race:*" names compose with
 /// SolveBatchParallel — and with qopt::QuboPipeline — exactly like any
 /// other backend, bit-identical at every thread count.

@@ -71,51 +71,43 @@ Result<std::vector<SampleSet>> SolveBatchParallel(
     const SolverOptions& options, int num_threads) {
   QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
   if (num_threads <= 0) num_threads = ThreadPool::DefaultNumThreads();
-  const size_t n = qubos.size();
-  if (num_threads == 1 || n <= 1) {
-    QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> solver,
-                         SolverRegistry::Global().Create(solver_name));
-    return solver->SolveBatch(qubos, options);
+  // The first backend is built before any fan-out, so an unknown name fails
+  // even on an empty batch.
+  QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> first,
+                       SolverRegistry::Global().Create(solver_name));
+  // A backend with cross-instance Solve state (the adaptive:* selector)
+  // orchestrates the whole batch itself so its schedule cannot depend on
+  // which slot drained which instance.
+  if (first->SolvesWholeBatch()) {
+    return first->SolveBatchThreaded(qubos, options, num_threads);
   }
-  // One backend per WORKER, not per instance: construction is no longer
+  // One backend per ForEach SLOT, not per instance: construction is not
   // assumed trivial — an embedded:* backend builds a topology graph (now
-  // amortized by backend_cache.h, but still not free) — so each worker
-  // builds one backend up front and reuses it across every instance it
-  // drains. That reuse is sound because a backend object is never shared
-  // across threads and Solve is required to be a pure function of
-  // (qubo, options) on this path; backends with cross-call Solve state opt
-  // out via the SolvesWholeBatch() hook below. Building the backends here,
-  // before any threads spin up, also surfaces unknown-name errors early.
-  const int workers = std::min(num_threads, static_cast<int>(n));
+  // amortized by backend_cache.h, but still not free) — so each slot reuses
+  // one backend across every instance it drains. That reuse is sound
+  // because a slot never runs two bodies at once and Solve is required to
+  // be a pure function of (qubo, options) on this path. ForEach's slots
+  // stay below min(n, num_threads), so that many backends cover them.
+  const int n = static_cast<int>(qubos.size());
   std::vector<std::unique_ptr<QuboSolver>> backends;
-  backends.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
+  backends.push_back(std::move(first));
+  while (static_cast<int>(backends.size()) < std::min(n, num_threads)) {
     QDM_ASSIGN_OR_RETURN(std::unique_ptr<QuboSolver> backend,
                          SolverRegistry::Global().Create(solver_name));
     backends.push_back(std::move(backend));
   }
-  // A backend with cross-instance Solve state (the adaptive:* selector)
-  // orchestrates the whole batch itself so its schedule cannot depend on
-  // which worker drained which instance.
-  if (backends[0]->SolvesWholeBatch()) {
-    return backends[0]->SolveBatchThreaded(qubos, options, num_threads);
-  }
-  // ParallelForWorkers' dynamic index scheduling keeps uneven per-instance
-  // costs balanced across workers.
   std::vector<SampleSet> results(n);
   std::vector<Status> statuses(n);
-  ThreadPool::ParallelForWorkers(
-      num_threads, static_cast<int>(n),
-      [&backends, &qubos, &options, &results, &statuses](int worker, int i) {
-        Result<SampleSet> result = backends[worker]->Solve(
-            qubos[i], DeriveBatchOptions(options, i));
-        if (result.ok()) {
-          results[i] = std::move(result).value();
-        } else {
-          statuses[i] = result.status();
-        }
-      });
-  for (size_t i = 0; i < n; ++i) {
+  ThreadPool::Shared().ForEach(n, num_threads, [&](int slot, int i) {
+    Result<SampleSet> result =
+        backends[slot]->Solve(qubos[i], DeriveBatchOptions(options, i));
+    if (result.ok()) {
+      results[i] = std::move(result).value();
+    } else {
+      statuses[i] = result.status();
+    }
+  });
+  for (int i = 0; i < n; ++i) {
     if (!statuses[i].ok()) return AnnotateBatchInstanceError(statuses[i], i, n);
   }
   return results;

@@ -90,7 +90,7 @@ struct SolverOptions {
   ChainBreakPolicy chain_break_policy = ChainBreakPolicy::kMajorityVote;
 
   // -- Noisy gate-based simulation (noisy:<model>:<base>) --------------------
-  NoiseSpec noise;
+  NoiseSpec noise{};
 };
 
 /// Strategy interface of the hybrid quantum/classical architecture (Figure 2
@@ -126,20 +126,21 @@ class QuboSolver {
       const std::vector<Qubo>& qubos, const SolverOptions& options);
 
   /// Whole-batch orchestration hook. SolveBatchParallel's fan-out reuses one
-  /// backend per worker and assigns instances to workers dynamically, which
-  /// requires Solve to be a pure function of (qubo, options). A backend
-  /// whose Solve carries state across calls — the adaptive:* selector's
-  /// explore/commit counter is the in-tree case — returns true here, and
-  /// SolveBatchParallel hands it the WHOLE batch via SolveBatchThreaded so
-  /// the backend can keep its cross-instance schedule deterministic while
-  /// still parallelizing internally. Wrappers around such a backend must
-  /// forward both hooks (see NoisySolver).
+  /// backend per ForEach slot and assigns instances to slots dynamically,
+  /// which requires Solve to be a pure function of (qubo, options). A
+  /// backend whose Solve carries state across calls — the adaptive:*
+  /// selector's explore/commit counter is the in-tree case — returns true
+  /// here, and SolveBatchParallel hands it the WHOLE batch via
+  /// SolveBatchThreaded so the backend can keep its cross-instance schedule
+  /// deterministic while still parallelizing internally. Wrappers around
+  /// such a backend must forward both hooks (see NoisySolver).
   virtual bool SolvesWholeBatch() const { return false; }
 
   /// Batch entry with a thread budget, used by SolveBatchParallel when
   /// SolvesWholeBatch() is true. Overrides must preserve the SolveBatch
   /// contract above plus the parallel fan-out's guarantee: results
-  /// bit-identical for every num_threads value (num_threads <= 0 meaning
+  /// bit-identical for every num_threads value, which caps the call's
+  /// width exactly as in SolveBatchParallel (<= 0 meaning
   /// ThreadPool::DefaultNumThreads()). The default ignores num_threads and
   /// runs the sequential SolveBatch reference.
   virtual Result<std::vector<SampleSet>> SolveBatchThreaded(
@@ -219,19 +220,19 @@ Result<Sample> SolveForBest(const std::string& solver_name, const Qubo& qubo,
 // -- Batched solving ----------------------------------------------------------
 
 /// Registry-level batch entry point: creates backend(s) registered under
-/// `solver_name` and solves all `qubos`, fanning instances out across a
-/// qdm::ThreadPool when num_threads != 1.
+/// `solver_name` and solves all `qubos` on the process-wide
+/// ThreadPool::Shared() through its capped ForEach — the calling thread
+/// plus pool helpers; no call spawns a thread.
 ///
-///  - num_threads == 1: strictly sequential on the calling thread via the
-///    backend's SolveBatch.
-///  - num_threads <= 0: uses ThreadPool::DefaultNumThreads().
-///  - num_threads > 1: fans instances out across min(num_threads, batch
-///    size) workers via ThreadPool::ParallelForWorkers (dynamic index
-///    scheduling), one backend instance per WORKER, reused across every
-///    instance that worker drains (QuboSolver implementations are not
-///    required to be thread-safe, but one object is never shared across
-///    threads). Backends that report SolvesWholeBatch() are instead handed
-///    the whole batch once via SolveBatchThreaded (see QuboSolver).
+///  - num_threads is a per-call cap on how many threads solve at once, the
+///    caller included: at most min(num_threads, batch size, pool width + 1).
+///    num_threads <= 0 means ThreadPool::DefaultNumThreads(); 1 is strictly
+///    sequential, in instance order, on the calling thread.
+///  - One backend instance per ForEach SLOT, reused across every instance
+///    that slot drains (QuboSolver implementations are not required to be
+///    thread-safe, and a slot never runs two instances at once). Backends
+///    that report SolvesWholeBatch() are instead handed the whole batch
+///    once via SolveBatchThreaded (see QuboSolver).
 ///
 /// Determinism guarantee: instance i is always solved with seed
 /// options.seed + i, so the returned SampleSets are bit-identical for every

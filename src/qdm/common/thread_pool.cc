@@ -58,25 +58,31 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
-void ThreadPool::ForEach(int n, const std::function<void(int)>& body) {
-  if (n <= 0) return;
+void ThreadPool::ForEach(int n, int max_workers,
+                         const std::function<void(int, int)>& body) {
+  int slots = std::min(n, num_threads() + 1);
+  if (max_workers > 0) slots = std::min(slots, max_workers);
+  if (slots <= 0) return;
   // Per-call completion state, shared with helper tasks so a helper that is
   // scheduled after the call already returned (all indices drained by the
-  // caller or other workers) still finds valid memory and exits cleanly.
+  // caller or other helpers) still finds valid memory and exits cleanly.
   struct CallState {
-    CallState(int n, std::function<void(int)> body)
+    CallState(int n, std::function<void(int, int)> body)
         : n(n), body(std::move(body)) {}
     const int n;
-    const std::function<void(int)> body;
+    const std::function<void(int, int)> body;
     std::atomic<int> next{0};
     std::atomic<int> done{0};
     std::mutex mutex;
     std::condition_variable all_done;
   };
   auto state = std::make_shared<CallState>(n, body);
-  const auto drain = [](const std::shared_ptr<CallState>& s) {
+  // Dynamic scheduling: each slot pulls the next index off the shared
+  // counter, so uneven per-index cost cannot stall a static stripe. One
+  // slot is one sequential loop, hence never two bodies at once.
+  const auto drain = [](const std::shared_ptr<CallState>& s, int slot) {
     for (int i = s->next.fetch_add(1); i < s->n; i = s->next.fetch_add(1)) {
-      s->body(i);
+      s->body(slot, i);
       if (s->done.fetch_add(1) + 1 == s->n) {
         // Lock before notifying so the waiter cannot miss the wakeup
         // between its predicate check and its wait.
@@ -85,48 +91,12 @@ void ThreadPool::ForEach(int n, const std::function<void(int)>& body) {
       }
     }
   };
-  const int helpers = std::min(num_threads(), n);
-  for (int t = 0; t < helpers; ++t) {
-    Submit([state, drain] { drain(state); });
+  for (int slot = 1; slot < slots; ++slot) {
+    Submit([state, drain, slot] { drain(state, slot); });
   }
-  drain(state);  // The caller participates: nested calls always progress.
+  drain(state, 0);  // The caller participates: nested calls always progress.
   std::unique_lock<std::mutex> lock(state->mutex);
   state->all_done.wait(lock, [&] { return state->done.load() == n; });
-}
-
-void ThreadPool::ParallelFor(int num_threads, int n,
-                             const std::function<void(int)>& body) {
-  if (n <= 0) return;
-  ThreadPool pool(num_threads);
-  // Dynamic scheduling: workers pull the next index off a shared counter, so
-  // uneven per-index cost cannot stall a statically assigned stripe.
-  std::atomic<int> next{0};
-  const int tasks = std::min(pool.num_threads(), n);
-  for (int t = 0; t < tasks; ++t) {
-    pool.Submit([&next, n, &body] {
-      for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) body(i);
-    });
-  }
-  pool.Wait();
-}
-
-void ThreadPool::ParallelForWorkers(
-    int num_threads, int n,
-    const std::function<void(int worker, int i)>& body) {
-  if (n <= 0) return;
-  ThreadPool pool(num_threads);
-  // Same dynamic scheduling as ParallelFor; the submitted task's loop index
-  // within the pool is the worker id handed to body.
-  std::atomic<int> next{0};
-  const int tasks = std::min(pool.num_threads(), n);
-  for (int t = 0; t < tasks; ++t) {
-    pool.Submit([&next, n, &body, t] {
-      for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        body(t, i);
-      }
-    });
-  }
-  pool.Wait();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -10,11 +10,15 @@
 
 namespace qdm {
 
-/// Fixed-size worker pool for fanning independent tasks out across threads.
-/// The batching layer (anneal::SolveBatchParallel) uses it to run many QUBO
-/// instances concurrently; it is deliberately minimal — submit, wait, reuse —
-/// so future fan-out seams (multi-backend racing, embedded-solver sweeps) can
-/// share it without inheriting scheduler policy.
+/// Fixed-size worker pool. Every fan-out in the toolkit runs on ONE of
+/// these — the process-wide Shared() pool — through its capped,
+/// caller-participating ForEach: batch instances (anneal::SolveBatchParallel),
+/// race members (anneal::RaceMemberSolvers), the adaptive:* explore/commit
+/// phases and the statevector/density-matrix kernel chunks. The service's
+/// drainer tasks are plain Submit()s on the same pool. Nothing in the
+/// library constructs another pool, so a call never spawns threads and a
+/// nested fan-out never oversubscribes the host beyond the pool's width
+/// plus its callers.
 ///
 /// Tasks must not throw (the toolkit is exception-free; failures travel as
 /// Status values captured by the task itself). Submitting from inside a task
@@ -44,45 +48,37 @@ class ThreadPool {
   /// never less than 1.
   static int DefaultNumThreads();
 
-  /// Process-wide pool shared by data-parallel kernels (the parallel
-  /// statevector gate kernels dispatch their chunks here, so per-gate
-  /// dispatch never spawns threads). Lazily created with
+  /// The process-wide pool every fan-out runs on. Lazily created with
   /// DefaultNumThreads() workers and intentionally never destroyed, so it
   /// stays usable from any shutdown context.
   static ThreadPool& Shared();
 
-  /// Runs body(i) for every i in [0, n) using this pool's workers AND the
-  /// calling thread, returning when all n iterations are done. Because the
-  /// caller participates in draining the shared index counter, the call
-  /// makes progress even when every worker is busy — nested use from inside
-  /// pool tasks cannot deadlock (worst case the caller runs all n
-  /// iterations itself). `body` must be safe to call concurrently for
-  /// different i and — like every task (see class comment) — must not
-  /// throw: an exception escaping a worker terminates the process, and one
-  /// escaping the caller's own drain would unwind past helpers still
-  /// referencing the call state. Iteration-to-thread assignment is dynamic,
-  /// so callers needing determinism must make body(i) independent of
-  /// execution order.
-  void ForEach(int n, const std::function<void(int)>& body);
-
-  /// One-shot data parallelism: runs body(i) for every i in [0, n) across a
-  /// transient pool of `num_threads` workers (dynamic index scheduling) and
-  /// returns when all iterations are done. `body` must be safe to call
-  /// concurrently from different threads for different i.
-  static void ParallelFor(int num_threads, int n,
-                          const std::function<void(int)>& body);
-
-  /// ParallelFor variant that also hands body the stable id of the worker
-  /// running it: body(worker, i) with worker in [0, min(num_threads, n)).
-  /// Each worker drains indices off the shared counter, so all iterations a
-  /// given worker runs see the same `worker` value — the seam that lets
-  /// callers reuse one expensive per-worker resource (e.g. a solver backend)
-  /// across every index that worker picks up, instead of recreating it per
-  /// index. Which indices land on which worker is still dynamic, so such
-  /// resources must not make body's result depend on the pairing.
-  static void ParallelForWorkers(
-      int num_threads, int n,
-      const std::function<void(int worker, int i)>& body);
+  /// Runs body(slot, i) for every i in [0, n) on the calling thread plus
+  /// helper tasks submitted to this pool, and returns when all n iterations
+  /// are done.
+  ///
+  ///  - max_workers caps how many threads run bodies at once, the caller
+  ///    included; <= 0 means no cap beyond the pool. The call runs
+  ///    min(n, max_workers, num_threads() + 1) wide, so it submits at most
+  ///    num_threads() helpers. max_workers == 1 runs every index in order
+  ///    on the calling thread and submits nothing.
+  ///  - slot identifies the thread of execution: the caller is slot 0 and
+  ///    helper k is slot k, so slot < min(n, max_workers, num_threads() + 1).
+  ///    A slot never runs two bodies at once, which lets callers keep one
+  ///    non-thread-safe resource per slot (a solver backend, say), sized up
+  ///    front as min(n, max_workers).
+  ///  - The caller drains the shared index counter too, so the call makes
+  ///    progress even when every worker is busy: nested use from inside
+  ///    pool tasks cannot deadlock (worst case the caller runs all n
+  ///    iterations itself).
+  ///  - Index-to-slot assignment is dynamic, so callers needing determinism
+  ///    must make body's result independent of the slot and of execution
+  ///    order. `body` must be safe to call concurrently for different
+  ///    slots and, like every task (see class comment), must not throw: one
+  ///    escaping the caller's own drain would unwind past helpers still
+  ///    using the call state.
+  void ForEach(int n, int max_workers,
+               const std::function<void(int slot, int i)>& body);
 
  private:
   void WorkerLoop();

@@ -80,8 +80,8 @@ Result<MqoSolution> SolveMqo(const MqoProblem& problem,
 
 /// Batched MQO, one QUBO per query group — QuboPipeline::RunBatch with the
 /// MQO encoder/decoder: encodes every problem, dispatches the whole batch
-/// through anneal::SolveBatchParallel (fanning out across `num_threads`
-/// pool workers when != 1), and strict-decodes each best sample.
+/// through anneal::SolveBatchParallel (at most `num_threads`
+/// wide on the shared pool), and strict-decodes each best sample.
 /// solutions[i] corresponds to problems[i]. Inherits the batch determinism
 /// guarantee: problem i is solved with seed options.seed + i, independent
 /// of thread count. All-or-nothing on failure (lowest failing instance

@@ -77,8 +77,8 @@ class QuboPipeline {
   }
 
   /// Batched pipeline: encode every problem, dispatch the whole batch
-  /// through anneal::SolveBatchParallel (fanning out across `num_threads`
-  /// pool workers when != 1), decode each best sample. solutions[i]
+  /// through anneal::SolveBatchParallel (at most `num_threads`
+  /// wide on the shared pool), decode each best sample. solutions[i]
   /// corresponds to problems[i].
   Result<std::vector<Solution>> RunBatch(const std::vector<Problem>& problems,
                                          const anneal::SolverOptions& options,

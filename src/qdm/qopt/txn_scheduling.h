@@ -68,8 +68,8 @@ Result<Schedule> SolveTxnSchedule(const TxnScheduleProblem& problem,
 /// Batched scheduling, one QUBO per epoch of incoming transactions (the
 /// per-epoch batches of Bittner & Groppe) — QuboPipeline::RunBatch with the
 /// scheduling encoder/decoder: encodes every epoch, dispatches the batch
-/// through anneal::SolveBatchParallel (fanning out across `num_threads`
-/// pool workers when != 1), strict-decodes each best sample.
+/// through anneal::SolveBatchParallel (at most `num_threads`
+/// wide on the shared pool), strict-decodes each best sample.
 /// schedules[i] corresponds to epochs[i]. Epoch i is solved with seed
 /// options.seed + i — bit-identical results for every thread count.
 /// All-or-nothing on failure.

@@ -38,10 +38,11 @@ DensityMatrix DensityMatrix::FromStatevector(const Statevector& sv) {
   if (threads > 1 && dim * dim >= sv.ResolvedSerialCutoff()) {
     const size_t chunks = std::min(threads, dim);
     const size_t chunk_size = (dim + chunks - 1) / chunks;
-    ThreadPool::Shared().ForEach(static_cast<int>(chunks), [&](int c) {
-      const size_t begin = chunk_size * static_cast<size_t>(c);
-      fill_rows(begin, std::min(begin + chunk_size, dim));
-    });
+    ThreadPool::Shared().ForEach(
+        static_cast<int>(chunks), /*max_workers=*/0, [&](int, int c) {
+          const size_t begin = chunk_size * static_cast<size_t>(c);
+          fill_rows(begin, std::min(begin + chunk_size, dim));
+        });
   } else {
     fill_rows(0, dim);
   }

@@ -141,7 +141,7 @@ void Statevector::RunChunksParallel(
   const int chunks =
       static_cast<int>(std::min<uint64_t>(ResolvedNumThreads(), n));
   const uint64_t chunk_size = (n + chunks - 1) / chunks;
-  ThreadPool::Shared().ForEach(chunks, [&](int c) {
+  ThreadPool::Shared().ForEach(chunks, /*max_workers=*/0, [&](int, int c) {
     const uint64_t begin = chunk_size * static_cast<uint64_t>(c);
     const uint64_t end = std::min(begin + chunk_size, n);
     if (begin < end) body(begin, end);

@@ -51,7 +51,8 @@ TEST(BackendCacheTest, ConcurrentFirstTouchConstructsOnce) {
   const std::string spec = "chimera:5x5x4";
   const BackendCacheStats before = GetBackendCacheStats();
   std::vector<std::shared_ptr<const HardwareTopology>> seen(8);
-  ThreadPool::ParallelFor(8, 8, [&seen, &spec](int i) {
+  ThreadPool pool(8);  // Its 7 helpers + the caller: 8 racing threads.
+  pool.ForEach(8, 0, [&seen, &spec](int, int i) {
     auto topology = GetCachedTopology(spec);
     QDM_CHECK(topology.ok()) << topology.status();
     seen[i] = std::move(topology).value();
@@ -69,7 +70,8 @@ TEST(BackendCacheTest, ConcurrentFirstTouchEmbeddingConstructsOnce) {
   const int num_logical = 11;
   const BackendCacheStats before = GetBackendCacheStats();
   std::vector<std::shared_ptr<const Embedding>> seen(8);
-  ThreadPool::ParallelFor(8, 8, [&seen, &topology, num_logical](int i) {
+  ThreadPool pool(8);  // Its 7 helpers + the caller: 8 racing threads.
+  pool.ForEach(8, 0, [&seen, &topology, num_logical](int, int i) {
     auto plan = GetCachedCliqueEmbedding(num_logical, **topology);
     QDM_CHECK(plan.ok()) << plan.status();
     seen[i] = std::move(plan).value();

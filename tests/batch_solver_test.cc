@@ -1,15 +1,22 @@
 // The batched-solving contract (QuboSolver::SolveBatch, SolveBatchParallel,
 // and the qopt batch entry points): ordering, per-instance seed derivation,
 // bit-identical results across thread counts, and all-or-nothing error
-// propagation with the failing instance named.
+// propagation with the failing instance named — and that the fan-out runs
+// on the shared pool without spawning a thread per call.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "qdm/anneal/portfolio_solver.h"
 #include "qdm/anneal/solver.h"
 #include "qdm/common/rng.h"
+#include "qdm/common/thread_pool.h"
 #include "qdm/qopt/mqo.h"
 #include "qdm/qopt/txn_scheduling.h"
 
@@ -155,6 +162,61 @@ TEST(BatchSolverTest, UnknownSolverAndBadOptionsAreRejectedUpFront) {
   auto invalid = SolveBatchParallel("simulated_annealing", qubos, bad, 2);
   ASSERT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Live threads of this process: the entries of /proc/self/task.
+int CountProcessThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<int>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// Records the most process threads any Solve call observed, then solves
+/// with simulated annealing (so it stays a deterministic backend wherever
+/// the registry's every-backend sweeps pick it up).
+class ThreadCountProbeSolver : public QuboSolver {
+ public:
+  static std::atomic<int>& MaxThreadsSeen() {
+    static std::atomic<int> max_seen{0};
+    return max_seen;
+  }
+
+  Result<SampleSet> Solve(const Qubo& qubo,
+                          const SolverOptions& options) override {
+    const int threads = CountProcessThreads();
+    int seen = MaxThreadsSeen().load();
+    while (threads > seen &&
+           !MaxThreadsSeen().compare_exchange_weak(seen, threads)) {
+    }
+    return SolveWith("simulated_annealing", qubo, options);
+  }
+  std::string name() const override { return "test_thread_count_probe"; }
+};
+
+TEST(BatchSolverTest, FanOutSpawnsNoThreadPerCall) {
+  // Batch and race fan-out run on the shared pool's workers plus the
+  // caller, so once the pool exists no call may add a thread to the process.
+  (void)SolverRegistry::Global().Register(
+      "test_thread_count_probe",
+      [] { return std::make_unique<ThreadCountProbeSolver>(); });
+  (void)ThreadPool::Shared();
+  const int warmed_up = CountProcessThreads();
+  std::atomic<int>& max_seen = ThreadCountProbeSolver::MaxThreadsSeen();
+
+  max_seen.store(0);
+  auto batch = SolveBatchParallel("test_thread_count_probe", SmallBatch(16),
+                                  FastOptions(21), /*num_threads=*/8);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(batch->size(), 16u);
+  EXPECT_GT(max_seen.load(), 0);
+  EXPECT_LE(max_seen.load(), warmed_up) << "batch at 8 threads";
+
+  max_seen.store(0);
+  auto race = SolveRaceParallel(
+      std::vector<std::string>(4, "test_thread_count_probe"), SmallBatch(1)[0],
+      FastOptions(21), /*num_threads=*/4);
+  ASSERT_TRUE(race.ok()) << race.status();
+  EXPECT_GT(max_seen.load(), 0);
+  EXPECT_LE(max_seen.load(), warmed_up) << "race at 4 threads";
 }
 
 }  // namespace

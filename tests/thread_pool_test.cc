@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -85,55 +86,107 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   EXPECT_EQ(started, 2);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  const int n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  ThreadPool::ParallelFor(4, n, [&hits](int i) { hits[i].fetch_add(1); });
-  for (int i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingleRanges) {
-  ThreadPool::ParallelFor(4, 0, [](int) { FAIL() << "body on empty range"; });
-  std::atomic<int> counter{0};
-  ThreadPool::ParallelFor(4, 1, [&counter](int) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, NonPositiveThreadCountFallsBackToHardware) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1);
   EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultNumThreads());
 }
 
-TEST(ThreadPoolTest, ForEachCoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, ForEachCoversEveryIndexExactlyOnceAtEveryCap) {
   const int n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  ThreadPool::Shared().ForEach(n, [&hits](int i) { hits[i].fetch_add(1); });
-  for (int i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  for (int cap : {1, 2, 0}) {
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) h.store(0);
+    ThreadPool::Shared().ForEach(
+        n, cap, [&hits](int, int i) { hits[i].fetch_add(1); });
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "cap " << cap << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ForEachCapOneRunsInOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool on_caller = true;
+  ThreadPool::Shared().ForEach(50, 1, [&](int slot, int i) {
+    EXPECT_EQ(slot, 0);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(order.size(), 50u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPoolTest, ForEachNeverRunsMoreThanCapBodiesAtOnce) {
+  // A pool far wider than the cap: only the cap may bound concurrency.
+  ThreadPool pool(8);
+  for (int cap : {2, 3}) {
+    std::atomic<int> in_flight{0};
+    std::atomic<int> peak{0};
+    pool.ForEach(64, cap, [&](int, int) {
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      in_flight.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1) << "cap " << cap;
+    EXPECT_LE(peak.load(), cap) << "cap " << cap;
+  }
+}
+
+TEST(ThreadPoolTest, ForEachSlotNeverRunsConcurrentlyWithItself) {
+  // Per-slot resources (one solver backend per slot) rely on this: a slot
+  // is one sequential drain loop, never two bodies at once.
+  ThreadPool pool(4);
+  std::vector<std::atomic<bool>> busy(pool.num_threads() + 1);
+  for (auto& b : busy) b.store(false);
+  std::atomic<int> overlaps{0};
+  pool.ForEach(200, 0, [&](int slot, int) {
+    if (busy[slot].exchange(true)) overlaps.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    busy[slot].store(false);
+  });
+  EXPECT_EQ(overlaps.load(), 0);
+}
+
+TEST(ThreadPoolTest, ForEachSlotsStayWithinTheDocumentedBound) {
+  // slot < min(n, max_workers, num_threads() + 1), max_workers <= 0 being
+  // no cap: what lets callers size per-slot state up front.
+  ThreadPool pool(3);
+  for (int n : {1, 2, 3, 10, 100}) {
+    for (int cap : {0, 1, 2, 8}) {
+      const int bound =
+          std::min({n, cap > 0 ? cap : n, pool.num_threads() + 1});
+      std::atomic<int> out_of_range{0};
+      pool.ForEach(n, cap, [&](int slot, int) {
+        if (slot < 0 || slot >= bound) out_of_range.fetch_add(1);
+      });
+      EXPECT_EQ(out_of_range.load(), 0) << "n " << n << " cap " << cap;
+    }
   }
 }
 
 TEST(ThreadPoolTest, ForEachHandlesEmptyAndSingleRanges) {
-  ThreadPool::Shared().ForEach(0, [](int) { FAIL() << "body on empty range"; });
+  ThreadPool::Shared().ForEach(
+      0, 0, [](int, int) { FAIL() << "body on empty range"; });
   std::atomic<int> counter{0};
-  ThreadPool::Shared().ForEach(1, [&counter](int) { counter.fetch_add(1); });
+  ThreadPool::Shared().ForEach(
+      1, 0, [&counter](int, int) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 1);
 }
 
 TEST(ThreadPoolTest, ForEachWithMoreWorkersThanItemsTouchesNothingExtra) {
-  // Shard count (pool workers + caller) far exceeds the item count: the
-  // surplus shards must return immediately without touching any index, and
+  // Pool workers far exceed the item count: only n slots are used, and
   // each index is still visited exactly once.
   ThreadPool pool(8);
   const int n = 3;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  pool.ForEach(n, [&hits, n](int i) {
+  pool.ForEach(n, 0, [&hits, n](int, int i) {
     ASSERT_GE(i, 0);
     ASSERT_LT(i, n);
     hits[i].fetch_add(1);
@@ -145,9 +198,9 @@ TEST(ThreadPoolTest, ForEachWithMoreWorkersThanItemsTouchesNothingExtra) {
 
 TEST(ThreadPoolTest, ForEachWithNegativeCountReturnsImmediately) {
   ThreadPool pool(2);
-  pool.ForEach(-5, [](int) { FAIL() << "body on negative range"; });
-  ThreadPool::Shared().ForEach(-1,
-                               [](int) { FAIL() << "body on negative range"; });
+  pool.ForEach(-5, 0, [](int, int) { FAIL() << "body on negative range"; });
+  ThreadPool::Shared().ForEach(
+      -1, 2, [](int, int) { FAIL() << "body on negative range"; });
 }
 
 TEST(ThreadPoolTest, DestructorWhileIdleReturnsPromptly) {
@@ -201,25 +254,24 @@ TEST(ThreadPoolTest, SharedForEachNestsWithoutDeadlock) {
   // draining its own index counter. Worst case everything runs inline —
   // never a deadlock.
   std::atomic<int> inner_iterations{0};
-  ThreadPool::Shared().ForEach(8, [&inner_iterations](int) {
-    ThreadPool::Shared().ForEach(16, [&inner_iterations](int) {
+  ThreadPool::Shared().ForEach(8, 0, [&inner_iterations](int, int) {
+    ThreadPool::Shared().ForEach(16, 0, [&inner_iterations](int, int) {
       inner_iterations.fetch_add(1);
     });
   });
   EXPECT_EQ(inner_iterations.load(), 8 * 16);
 }
 
-TEST(ThreadPoolTest, NestedParallelForInsideWorkersCompletes) {
-  // Pool workers that themselves fan out (as SolveBatchParallel workers
-  // running parallel statevector kernels do) must not deadlock: the static
-  // ParallelFor spins a transient pool and the kernels' shared-pool ForEach
-  // is caller-participating, so no worker ever blocks on work that cannot
-  // be stolen.
+TEST(ThreadPoolTest, SharedForEachInsideAnotherPoolsTasksCompletes) {
+  // Tasks of another pool that fan out on the shared pool (as the service
+  // drainers' solves do) must not deadlock: the shared-pool ForEach is
+  // caller-participating, so no task ever blocks on work that cannot be
+  // stolen.
   ThreadPool outer(4);
   std::atomic<int> inner_iterations{0};
   for (int t = 0; t < 8; ++t) {
     outer.Submit([&inner_iterations] {
-      ThreadPool::Shared().ForEach(16, [&inner_iterations](int) {
+      ThreadPool::Shared().ForEach(16, 0, [&inner_iterations](int, int) {
         inner_iterations.fetch_add(1);
       });
     });
