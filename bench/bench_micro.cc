@@ -383,6 +383,16 @@ void BM_CnotLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_CnotLadder)->Arg(12)->Arg(18);
 
+// The draw behind every Metropolis test: one engine word mapped to [0, 1).
+void BM_RngUniform(benchmark::State& state) {
+  qdm::Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.Uniform());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform);
+
 void BM_AnnealSweeps(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   qdm::Rng rng(1);

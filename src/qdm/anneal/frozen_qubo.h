@@ -1,6 +1,7 @@
 #ifndef QDM_ANNEAL_FROZEN_QUBO_H_
 #define QDM_ANNEAL_FROZEN_QUBO_H_
 
+#include <cmath>
 #include <vector>
 
 #include "qdm/anneal/qubo.h"
@@ -86,6 +87,17 @@ class LocalFields {
   Assignment x_;
   std::vector<double> field_;
 };
+
+/// The Metropolis test of an uphill move: exactly u < exp(-x), where x is
+/// the move's exponent (beta * delta for a flip, the negated log-ratio for
+/// a replica swap) and u a Rng::Uniform() draw. exp(-45) < 2^-64, so for
+/// x > 45 no u >= 2^-64 can pass and the exp is skipped; every nonzero
+/// Uniform() is at least 2^-64, so among draws only u == 0 still evaluates
+/// it there. The caller draws u unconditionally, so the stream does not
+/// depend on which branch is taken.
+inline bool MetropolisAccept(double u, double x) {
+  return (x <= 45.0 || u < 0x1p-64) && u < std::exp(-x);
+}
 
 }  // namespace anneal
 }  // namespace qdm

@@ -50,7 +50,8 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
       for (int k = 0; k < r; ++k) {
         for (int i = 0; i < n; ++i) {
           const double delta = replicas[k].Delta(i);
-          if (delta <= 0.0 || rng->Uniform() < std::exp(-betas[k] * delta)) {
+          if (delta <= 0.0 ||
+              MetropolisAccept(rng->Uniform(), betas[k] * delta)) {
             replicas[k].Flip(i);
             energies[k] += delta;
           }
@@ -64,7 +65,7 @@ SampleSet ParallelTempering::SampleQubo(const Qubo& qubo, int num_reads,
         for (int k = 0; k + 1 < r; ++k) {
           const double arg = (betas[k + 1] - betas[k]) *
                              (energies[k + 1] - energies[k]);
-          if (arg >= 0.0 || rng->Uniform() < std::exp(arg)) {
+          if (arg >= 0.0 || MetropolisAccept(rng->Uniform(), -arg)) {
             std::swap(replicas[k], replicas[k + 1]);
             std::swap(energies[k], energies[k + 1]);
           }

@@ -40,7 +40,7 @@ SampleSet SimulatedAnnealer::SampleQubo(const Qubo& qubo, int num_reads,
     for (int sweep = 0; sweep < sweeps; ++sweep, beta *= ratio) {
       for (int i = 0; i < n; ++i) {
         const double delta = walker.Delta(i);
-        if (delta <= 0.0 || rng->Uniform() < std::exp(-beta * delta)) {
+        if (delta <= 0.0 || MetropolisAccept(rng->Uniform(), beta * delta)) {
           walker.Flip(i);
         }
       }

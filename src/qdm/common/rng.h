@@ -1,6 +1,8 @@
 #ifndef QDM_COMMON_RNG_H_
 #define QDM_COMMON_RNG_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -9,10 +11,55 @@
 
 namespace qdm {
 
+/// MT19937-64 with the output of std::mt19937_64 word for word (same
+/// seeding, twist and tempering), but cheaper per draw: the 312-word state
+/// is refilled in one out-of-line pass whose loops have no data-dependent
+/// branch (the twist's conditional xor is the mask (0 - (y & 1)) & a), so
+/// the compiler can vectorize them. Satisfies UniformRandomBitGenerator, so
+/// the std distributions take it in place of std::mt19937_64 and return the
+/// same values.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr int kStateSize = 312;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed);
+
+  result_type operator()() {
+    if (index_ == kStateSize) Refill();
+    result_type z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  void Refill();
+
+  result_type state_[kStateSize];
+  int index_ = kStateSize;
+};
+
 /// Deterministic pseudo-random number generator used throughout the toolkit.
 /// All stochastic components (annealers, shot sampling, workload generators,
 /// network simulation) take an explicit Rng so that experiments are
 /// reproducible from a seed.
+///
+/// The stream is that of std::mt19937_64 read through the libstdc++ std
+/// distributions: Uniform() equals std::uniform_real_distribution<double>
+/// (0, 1), and UniformInt, Gaussian, Exponential, Shuffle and Categorical
+/// equal their std counterparts on a std::mt19937_64 with the same seed
+/// (tests/common_test.cc pins every one; in builds that contract into FMA,
+/// libstdc++'s Gaussian itself may round differently per instantiation).
+/// Every seed-exact result in the toolkit (determinism matrices, perf-gated
+/// fidelities, golden SampleSets) was recorded on that stream, so the faster
+/// engine and the branchless Uniform() below reproduce it bit for bit rather
+/// than replace it.
 class Rng {
  public:
   /// Seed used when none is given (and the zero-means-default mapping of
@@ -21,8 +68,21 @@ class Rng {
 
   explicit Rng(uint64_t seed = kDefaultSeed) : engine_(seed) {}
 
+  /// Maps a 64-bit word to [0, 1) exactly as libstdc++'s generate_canonical
+  /// does: double(bits) * 2^-64, clamped to the largest double below 1 when
+  /// it rounds up to 1. The plain double(uint64_t) conversion compiles to a
+  /// branch on the top bit that mispredicts half the time; the two 32-bit
+  /// halves convert exactly, and the one rounded add (or a contracted FMA,
+  /// whose product is exact too) gives the correctly rounded double(bits) at
+  /// any -march.
+  static double UnitFromBits(uint64_t bits) {
+    const double hi = static_cast<double>(static_cast<uint32_t>(bits >> 32));
+    const double lo = static_cast<double>(static_cast<uint32_t>(bits));
+    return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+  }
+
   /// Uniform double in [0, 1).
-  double Uniform() { return unit_(engine_); }
+  double Uniform() { return UnitFromBits(engine_()); }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -64,11 +124,10 @@ class Rng {
   }
 
   /// Underlying engine, for std distributions not wrapped here.
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  Mt19937_64 engine_;
   std::normal_distribution<double> normal_{0.0, 1.0};
 };
 

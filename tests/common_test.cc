@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "qdm/common/rng.h"
 #include "qdm/common/status.h"
@@ -140,6 +145,122 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(&v);
   std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
   EXPECT_EQ(a, b);
+}
+
+// Rng's stream must be exactly that of std::mt19937_64 read through the
+// libstdc++ distributions: every seed-exact result in the toolkit was
+// recorded on it. 10000 draws span 32 refills of the 312-word state.
+const uint64_t kStreamSeeds[] = {0, 1, ~uint64_t{0}, Rng::kDefaultSeed};
+constexpr int kStreamDraws = 10000;
+
+TEST(RngStreamTest, EngineEqualsStdMt19937_64) {
+  for (uint64_t seed : kStreamSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < kStreamDraws; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(RngStreamTest, UniformEqualsStdUniformRealDistribution) {
+  for (uint64_t seed : kStreamSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < kStreamDraws; ++i) {
+      ASSERT_EQ(rng.Uniform(), unit(reference))
+          << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// libstdc++'s normal_distribution (Marsaglia's polar method) is a chain of
+// multiply-adds. Where the target has FMA, GCC contracts them, and not
+// always the same way in two instantiations of the template (here over
+// Mt19937_64 and over std::mt19937_64), so the values may differ in the last
+// bits; -ffp-contract=off removes the difference. Without FMA both compute
+// the same rounded expressions and must agree exactly.
+void ExpectSameGaussian(double value, double reference) {
+#ifdef __FMA__
+  EXPECT_NEAR(value, reference, 1e-12 * std::max(1.0, std::fabs(reference)));
+#else
+  EXPECT_EQ(value, reference);
+#endif
+}
+
+TEST(RngStreamTest, DistributionsEqualStdDistributionsOnStdEngine) {
+  const std::vector<double> weights = {0.5, 0.0, 2.0, 1.5};
+  for (uint64_t seed : kStreamSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::normal_distribution<double> normal(0.0, 1.0);
+    std::exponential_distribution<double> exponential(0.25);
+    for (int i = 0; i < kStreamDraws / 10; ++i) {
+      std::uniform_int_distribution<int64_t> range(-3, 1000 + i);
+      ASSERT_EQ(rng.UniformInt(-3, 1000 + i), range(reference));
+      ExpectSameGaussian(rng.Gaussian(), normal(reference));
+      ASSERT_EQ(rng.Uniform(-2.0, 3.0), -2.0 + 5.0 * unit(reference));
+      ASSERT_EQ(rng.Exponential(0.25), exponential(reference));
+      ASSERT_EQ(rng.Bernoulli(0.3), unit(reference) < 0.3);
+
+      // Categorical: one draw scaled by the total, then a cumulative scan.
+      const double r = unit(reference) * 4.0;
+      size_t expected = weights.size() - 1;
+      double acc = 0.0;
+      for (size_t k = 0; k < weights.size(); ++k) {
+        acc += weights[k];
+        if (r < acc) {
+          expected = k;
+          break;
+        }
+      }
+      ASSERT_EQ(rng.Categorical(weights), expected);
+
+      // Shuffle: Fisher-Yates from the back, one UniformInt per position.
+      std::vector<int> items = {0, 1, 2, 3, 4, 5, 6};
+      std::vector<int> reference_items = items;
+      rng.Shuffle(&items);
+      for (size_t k = reference_items.size(); k > 1; --k) {
+        const int64_t last = static_cast<int64_t>(k) - 1;
+        std::uniform_int_distribution<int64_t> pick(0, last);
+        std::swap(reference_items[last], reference_items[pick(reference)]);
+      }
+      ASSERT_EQ(items, reference_items);
+    }
+    // Both engines are still in step after the mixed sequence.
+    ASSERT_EQ(rng.engine()(), reference());
+  }
+}
+
+// A bit generator that returns one fixed word: feeds an exact input to
+// libstdc++'s generate_canonical.
+struct FixedWord {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return word; }
+  result_type word;
+};
+
+TEST(RngStreamTest, UnitFromBitsMatchesGenerateCanonicalOnEdgeWords) {
+  const uint64_t p53 = uint64_t{1} << 53;
+  const uint64_t p63 = uint64_t{1} << 63;
+  const uint64_t top = ~uint64_t{0};  // top - 1023 is 2^64 - 2^10.
+  const uint64_t words[] = {0, 1, p53 - 1, p53, p53 + 1, p63, top - 1023, top};
+  for (uint64_t word : words) {
+    FixedWord generator{word};
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    EXPECT_EQ(Rng::UnitFromBits(word), unit(generator)) << "word " << word;
+  }
+  EXPECT_EQ(Rng::UnitFromBits(0), 0.0);
+  EXPECT_EQ(Rng::UnitFromBits(1), 0x1p-64);
+  EXPECT_EQ(Rng::UnitFromBits(p63), 0.5);
+  // The top two words round up to 2^64 and take the clamp below 1.
+  const double below_one = std::nextafter(1.0, 0.0);
+  EXPECT_EQ(Rng::UnitFromBits(top - 1023), below_one);
+  EXPECT_EQ(Rng::UnitFromBits(top), below_one);
 }
 
 TEST(StringsTest, StrFormatBasics) {

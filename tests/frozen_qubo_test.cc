@@ -204,6 +204,31 @@ TEST(FrozenQuboTest, KernelSamplersReportCanonicalEnergies) {
   }
 }
 
+// MetropolisAccept skips the exp above x = 45 and must still return exactly
+// u < exp(-x): for the edge draws 0, 2^-64 (the smallest nonzero
+// Rng::Uniform) and the largest one, for a u below every nonzero draw, and
+// for ordinary draws.
+TEST(FrozenQuboTest, MetropolisAcceptEqualsTheExpTest) {
+  Rng rng(61);
+  std::vector<double> us = {0.0, 0x1p-64, 1e-30, std::nextafter(1.0, 0.0)};
+  for (int i = 0; i < 8; ++i) us.push_back(rng.Uniform());
+  std::vector<double> xs;
+  for (int step = 0; step <= 80000; ++step) xs.push_back(step * 0.01);
+  // Either side of the skip threshold, of exp(-x) == 2^-64 and of exp's
+  // underflow to 0.
+  for (double edge : {45.0, 64 * std::log(2.0), 745.1332191019411}) {
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, 1000.0));
+  }
+  for (double u : us) {
+    for (double x : xs) {
+      ASSERT_EQ(MetropolisAccept(u, x), u < std::exp(-x))
+          << "u " << u << " x " << x;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace anneal
 }  // namespace qdm
