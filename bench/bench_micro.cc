@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "qdm/algo/optimizers.h"
+#include "qdm/algo/qaoa.h"
 #include "qdm/anneal/backend_cache.h"
 #include "qdm/anneal/embedded_solver.h"
 #include "qdm/anneal/embedding.h"
@@ -85,6 +87,44 @@ void BM_DiagonalPhasePrecomputed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(dim));
 }
 BENCHMARK(BM_DiagonalPhasePrecomputed)->Arg(16)->Arg(20);
+
+// The gate-based backends' regime: small states (8 qubits on batch_gate)
+// where a gate costs about as much as the call that dispatches it. One
+// RX per target qubit, serial kernels; items = gates.
+void BM_Apply1QEachTarget(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  qdm::sim::Statevector sv(n);
+  const qdm::linalg::Matrix rx =
+      qdm::circuit::SingleQubitMatrix(qdm::circuit::GateKind::kRX, {0.3});
+  for (auto _ : state) {
+    for (int q = 0; q < n; ++q) sv.Apply1Q(rx, q);
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Apply1QEachTarget)->Arg(8);
+
+// QAOA objective evaluations as the "qaoa" backend makes them: one
+// coordinate-descent Optimize (p = 2) over an n-qubit MQO QUBO per
+// iteration; items = objective evaluations.
+void BM_QaoaExpectation(benchmark::State& state) {
+  qdm::Rng problem_rng(5);
+  const qdm::algo::Qaoa qaoa(
+      qdm::qopt::MqoToQubo(qdm::qopt::GenerateMqoProblem(
+          static_cast<int>(state.range(0)) / 2, 2, 0.4, &problem_rng)),
+      2);
+  int64_t evaluations = 0;
+  for (auto _ : state) {
+    qdm::Rng rng(6);
+    qdm::algo::CoordinateDescent optimizer;
+    const qdm::algo::OptimizationResult result =
+        qaoa.Optimize(&optimizer, 1, &rng);
+    benchmark::DoNotOptimize(result.value);
+    evaluations += result.evaluations;
+  }
+  state.SetItemsProcessed(evaluations);
+}
+BENCHMARK(BM_QaoaExpectation)->Arg(8);
 
 // Thread sweep over the parallel gate kernels on a 20-qubit state (the
 // regime the QAOA/Grover workloads bottleneck in). Serial cutoff is forced

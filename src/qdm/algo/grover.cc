@@ -11,8 +11,12 @@ namespace algo {
 void CountingOracle::ApplyPhaseFlip(sim::Statevector* sv) {
   ++queries_;
   auto& amps = sv->mutable_amplitudes();
+  if (marks_.size() != amps.size()) {
+    marks_.resize(amps.size());
+    for (uint64_t z = 0; z < amps.size(); ++z) marks_[z] = predicate_(z);
+  }
   for (uint64_t z = 0; z < amps.size(); ++z) {
-    if (predicate_(z)) amps[z] = -amps[z];
+    if (marks_[z] != 0) amps[z] = -amps[z];
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "qdm/circuit/circuit.h"
 #include "qdm/common/rng.h"
@@ -15,6 +16,11 @@ namespace algo {
 /// This is the quantity the paper's Sec III-A compares algorithms by: the
 /// classical scan pays one query per *record*, Grover pays one query per
 /// *coherent oracle application* (which acts on all records in superposition).
+///
+/// The predicate must be pure: the first phase flip evaluates it once per
+/// basis state into a mark vector, and every later flip on a register of
+/// that dimension reads the marks. Query counting does not change: one per
+/// Query and one per ApplyPhaseFlip, none for that one-time evaluation.
 class CountingOracle {
  public:
   explicit CountingOracle(std::function<bool(uint64_t)> predicate)
@@ -39,6 +45,7 @@ class CountingOracle {
 
  private:
   std::function<bool(uint64_t)> predicate_;
+  std::vector<uint8_t> marks_;  // f(z) per basis state, filled on first flip.
   int64_t queries_ = 0;
 };
 

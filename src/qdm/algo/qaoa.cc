@@ -1,6 +1,8 @@
 #include "qdm/algo/qaoa.h"
 
 #include <cmath>
+#include <complex>
+#include <cstring>
 
 #include "qdm/algo/noisy_sampling.h"
 #include "qdm/common/check.h"
@@ -89,13 +91,69 @@ circuit::Circuit Qaoa::BuildCircuit(const std::vector<double>& params) const {
   return c;
 }
 
+QaoaEvaluator::QaoaEvaluator(const Qaoa& qaoa)
+    : qaoa_(qaoa), slots_per_layer_(0), slots_(qaoa.layers()) {
+  const uint64_t dim = uint64_t{1} << qaoa.num_qubits();
+  if (dim >= sim::Statevector::kDefaultSerialCutoff) return;
+  slots_per_layer_ = kSlotsPerLayer;
+  plus_.emplace(qaoa.num_qubits());
+  const linalg::Matrix h =
+      circuit::SingleQubitMatrix(circuit::GateKind::kH, {});
+  for (int q = 0; q < qaoa.num_qubits(); ++q) plus_->Apply1Q(h, q);
+  state_ = plus_;
+}
+
+const std::vector<Complex>& QaoaEvaluator::Phasors(int layer, double gamma) {
+  uint64_t bits;
+  std::memcpy(&bits, &gamma, sizeof(bits));
+  std::vector<Slot>& slots = slots_[layer];
+  Slot* slot = nullptr;
+  for (Slot& s : slots) {
+    if (s.gamma_bits == bits) {
+      s.last_use = ++clock_;
+      return s.phasors;
+    }
+    if (slot == nullptr || s.last_use < slot->last_use) slot = &s;
+  }
+  if (slots.size() < static_cast<size_t>(slots_per_layer_)) {
+    slots.emplace_back();
+    slot = &slots.back();
+  }
+  slot->gamma_bits = bits;
+  slot->last_use = ++clock_;
+  // The exact factor ApplyDiagonalPhase(diag, -gamma) evaluates per element.
+  const std::vector<double>& diag = qaoa_.diagonal();
+  const double scale = -gamma;
+  slot->phasors.resize(diag.size());
+  for (size_t z = 0; z < diag.size(); ++z) {
+    slot->phasors[z] = std::polar(1.0, scale * diag[z]);
+  }
+  return slot->phasors;
+}
+
+double QaoaEvaluator::operator()(const std::vector<double>& params) {
+  if (slots_per_layer_ == 0) return qaoa_.Expectation(params);
+  QDM_CHECK_EQ(params.size(), static_cast<size_t>(qaoa_.num_parameters()));
+  const int layers = qaoa_.layers();
+  sim::Statevector& sv = *state_;
+  sv = *plus_;
+  for (int l = 0; l < layers; ++l) {
+    sv.ApplyPhasors(Phasors(l, params[l]));
+    const linalg::Matrix rx = circuit::SingleQubitMatrix(
+        circuit::GateKind::kRX, {2 * params[layers + l]});
+    for (int q = 0; q < qaoa_.num_qubits(); ++q) sv.Apply1Q(rx, q);
+  }
+  return sv.ExpectationDiagonal(qaoa_.diagonal());
+}
+
 OptimizationResult Qaoa::Optimize(Optimizer* optimizer, int restarts,
                                   Rng* rng) const {
   QDM_CHECK_GT(restarts, 0);
   OptimizationResult best;
   best.value = 1e300;
-  Objective objective = [this](const std::vector<double>& p) {
-    return Expectation(p);
+  QaoaEvaluator evaluator(*this);
+  Objective objective = [&evaluator](const std::vector<double>& p) {
+    return evaluator(p);
   };
   for (int r = 0; r < restarts; ++r) {
     std::vector<double> initial(num_parameters());

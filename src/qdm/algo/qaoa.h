@@ -1,6 +1,8 @@
 #ifndef QDM_ALGO_QAOA_H_
 #define QDM_ALGO_QAOA_H_
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "qdm/algo/optimizers.h"
@@ -56,6 +58,56 @@ class Qaoa {
   int layers_;
   anneal::IsingModel ising_;
   std::vector<double> diagonal_;
+};
+
+/// The objective Qaoa::Optimize minimizes: Qaoa::Expectation, bit for bit,
+/// at a fraction of its cost. Each call starts from a cached copy of
+/// |+>^n instead of applying n H gates, and applies each cost layer from a
+/// cached table of polar(1, -gamma * diag) phasors (Statevector::
+/// ApplyPhasors) instead of 2^n polar() calls. A layer keeps up to
+/// kSlotsPerLayer tables, least recently used evicted first: coordinate
+/// descent moves one angle per probe, so theta and both probes of a
+/// coordinate stay cached. Tables are keyed by the bits of gamma.
+///
+/// Memory bound: 3 tables per layer of 16 bytes per amplitude, and only for
+/// states below Statevector::kDefaultSerialCutoff amplitudes (at most
+/// 3 MiB per layer). At or above it the evaluator holds nothing and calls
+/// Qaoa::Expectation, so large states use the memory they always did.
+/// Call-local: one evaluator per optimization, not shared across threads.
+class QaoaEvaluator {
+ public:
+  static constexpr int kSlotsPerLayer = 3;
+
+  explicit QaoaEvaluator(const Qaoa& qaoa);
+
+  double operator()(const std::vector<double>& params);
+
+  /// kSlotsPerLayer below the cutoff, 0 at or above it.
+  int slots_per_layer() const { return slots_per_layer_; }
+  /// Tables currently cached for `layer`.
+  int cached_tables(int layer) const {
+    return static_cast<int>(slots_[layer].size());
+  }
+
+ private:
+  struct Slot {
+    uint64_t gamma_bits = 0;
+    uint64_t last_use = 0;
+    std::vector<Complex> phasors;
+  };
+
+  /// The phasor table for layer `layer` at angle gamma, filled on a miss.
+  const std::vector<Complex>& Phasors(int layer, double gamma);
+
+  const Qaoa& qaoa_;
+  int slots_per_layer_;
+  // Engaged only below the cutoff: |+>^n as StateForParameters builds it,
+  // and the state each call evolves (assigned from plus_, so its buffer is
+  // reused).
+  std::optional<sim::Statevector> plus_;
+  std::optional<sim::Statevector> state_;
+  std::vector<std::vector<Slot>> slots_;  // Per layer.
+  uint64_t clock_ = 0;
 };
 
 /// QAOA as a QUBO sampler; the registry's "qaoa" backend (see

@@ -170,6 +170,12 @@ class ParallelTemperingSolver : public QuboSolver {
   Result<SampleSet> Solve(const Qubo& qubo,
                           const SolverOptions& options) override {
     QDM_RETURN_IF_ERROR(ValidateSolverOptions(options));
+    // A ladder needs two rungs; 0 (and any negative) keeps the default.
+    if (options.num_replicas == 1) {
+      return Status::InvalidArgument(
+          "parallel_tempering needs num_replicas >= 2, got 1 (0 means the "
+          "default)");
+    }
     ParallelTempering::Options pt;
     if (options.num_replicas > 0) pt.num_replicas = options.num_replicas;
     if (options.num_sweeps > 0) pt.num_sweeps = options.num_sweeps;

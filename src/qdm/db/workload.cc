@@ -53,7 +53,7 @@ GeneratedWorkload GenerateJoinWorkload(QueryShape shape, int n,
     Table table(StrFormat("R%d", i), Schema(columns[i]));
     for (int r = 0; r < rows[i]; ++r) {
       Row row;
-      row.push_back(Value(static_cast<int64_t>(r)));
+      row.emplace_back(static_cast<int64_t>(r));
       for (size_t c = 1; c < columns[i].size(); ++c) {
         // Find this column's domain.
         int domain = 2;
@@ -64,7 +64,7 @@ GeneratedWorkload GenerateJoinWorkload(QueryShape shape, int n,
             break;
           }
         }
-        row.push_back(Value(rng->UniformInt(0, domain - 1)));
+        row.emplace_back(rng->UniformInt(0, domain - 1));
       }
       table.AppendUnchecked(std::move(row));
     }

@@ -1,5 +1,6 @@
 #include "qdm/sim/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
@@ -22,12 +23,14 @@ namespace simd {
 
 namespace {
 
+#if QDM_SIMD_HAVE_AVX2
 bool EnvDisablesSimd() {
   const char* env = std::getenv("QDM_SIMD");
   if (env == nullptr) return false;
   return std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
          std::strcmp(env, "false") == 0;
 }
+#endif
 
 Tier DetectTier() {
 #if QDM_SIMD_HAVE_AVX2
@@ -64,23 +67,35 @@ const char* TierName(Tier tier) {
   return "unknown";
 }
 
-void Apply1QRunScalar(Complex* lo, Complex* hi, uint64_t n, Complex u00,
-                      Complex u01, Complex u10, Complex u11) {
-  for (uint64_t k = 0; k < n; ++k) {
-    const Complex a0 = lo[k];
-    const Complex a1 = hi[k];
-    lo[k] = u00 * a0 + u01 * a1;
-    hi[k] = u10 * a0 + u11 * a1;
-  }
+namespace {
+
+// The reference pair update that every tier reproduces bit for bit.
+inline void Apply1QPair(Complex* lo, Complex* hi, const Complex* u) {
+  const Complex a0 = *lo;
+  const Complex a1 = *hi;
+  *lo = u[0] * a0 + u[1] * a1;
+  *hi = u[2] * a0 + u[3] * a1;
 }
 
-void Apply1QPairsRunScalar(Complex* amp, uint64_t n, Complex u00, Complex u01,
-                           Complex u10, Complex u11) {
-  for (uint64_t k = 0; k < n; ++k) {
-    const Complex a0 = amp[2 * k];
-    const Complex a1 = amp[2 * k + 1];
-    amp[2 * k] = u00 * a0 + u01 * a1;
-    amp[2 * k + 1] = u10 * a0 + u11 * a1;
+}  // namespace
+
+void Apply1QRangeScalar(Complex* amp, uint64_t step, uint64_t control_mask,
+                        uint64_t begin, uint64_t end, const Complex* u) {
+  // Every index in one run shares its bits above the target, so the
+  // above-target controls are tested once per run; only the below-target
+  // ones vary inside it.
+  const uint64_t low_mask = step - 1;
+  const uint64_t high_ctrl = control_mask & ~low_mask;
+  const uint64_t low_ctrl = control_mask & low_mask;
+  for (uint64_t p = begin; p < end;) {
+    const uint64_t run = std::min(step - (p & low_mask), end - p);
+    const uint64_t base = ((p & ~low_mask) << 1) | (p & low_mask);
+    if ((base & high_ctrl) == high_ctrl) {
+      for (uint64_t i = base; i < base + run; ++i) {
+        if ((i & low_ctrl) == low_ctrl) Apply1QPair(amp + i, amp + i + step, u);
+      }
+    }
+    p += run;
   }
 }
 
@@ -89,6 +104,10 @@ void DiagonalPhaseRunScalar(Complex* amp, const double* phases, double scale,
   for (uint64_t z = 0; z < n; ++z) {
     amp[z] *= std::polar(1.0, scale * phases[z]);
   }
+}
+
+void PhasorRunScalar(Complex* amp, const Complex* factors, uint64_t n) {
+  for (uint64_t z = 0; z < n; ++z) amp[z] *= factors[z];
 }
 
 void SwapRunScalar(Complex* x, Complex* y, uint64_t n) {
@@ -117,63 +136,75 @@ __attribute__((target("avx2"))) inline __m256d ComplexMul(__m256d ur,
 
 }  // namespace
 
-__attribute__((target("avx2"))) void Apply1QRunAvx2(Complex* lo, Complex* hi,
-                                                    uint64_t n, Complex u00,
-                                                    Complex u01, Complex u10,
-                                                    Complex u11) {
-  double* lod = reinterpret_cast<double*>(lo);
-  double* hid = reinterpret_cast<double*>(hi);
-  const __m256d u00r = _mm256_set1_pd(u00.real());
-  const __m256d u00i = _mm256_set1_pd(u00.imag());
-  const __m256d u01r = _mm256_set1_pd(u01.real());
-  const __m256d u01i = _mm256_set1_pd(u01.imag());
-  const __m256d u10r = _mm256_set1_pd(u10.real());
-  const __m256d u10i = _mm256_set1_pd(u10.imag());
-  const __m256d u11r = _mm256_set1_pd(u11.real());
-  const __m256d u11i = _mm256_set1_pd(u11.imag());
-  uint64_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m256d a0 = _mm256_loadu_pd(lod + 2 * k);
-    const __m256d a1 = _mm256_loadu_pd(hid + 2 * k);
-    _mm256_storeu_pd(lod + 2 * k,
-                     _mm256_add_pd(ComplexMul(u00r, u00i, a0),
-                                   ComplexMul(u01r, u01i, a1)));
-    _mm256_storeu_pd(hid + 2 * k,
-                     _mm256_add_pd(ComplexMul(u10r, u10i, a0),
-                                   ComplexMul(u11r, u11i, a1)));
-  }
-  if (k < n) {  // Odd run length: one trailing pair, reference arithmetic.
-    const Complex a0 = lo[k];
-    const Complex a1 = hi[k];
-    lo[k] = u00 * a0 + u01 * a1;
-    hi[k] = u10 * a0 + u11 * a1;
-  }
-}
-
-__attribute__((target("avx2"))) void Apply1QPairsRunAvx2(Complex* amp,
-                                                         uint64_t n,
-                                                         Complex u00,
-                                                         Complex u01,
-                                                         Complex u10,
-                                                         Complex u11) {
-  // One full (a0, a1) pair per 256-bit register: lanes 0-1 produce the new
-  // a0 with row (u00, u01), lanes 2-3 the new a1 with row (u10, u11).
+__attribute__((target("avx2"))) void Apply1QRangeAvx2(
+    Complex* amp, uint64_t step, uint64_t control_mask, uint64_t begin,
+    uint64_t end, const Complex* u) {
   double* ad = reinterpret_cast<double*>(amp);
-  const __m256d row_r =
-      _mm256_setr_pd(u00.real(), u00.real(), u10.real(), u10.real());
-  const __m256d row_i =
-      _mm256_setr_pd(u00.imag(), u00.imag(), u10.imag(), u10.imag());
-  const __m256d col_r =
-      _mm256_setr_pd(u01.real(), u01.real(), u11.real(), u11.real());
-  const __m256d col_i =
-      _mm256_setr_pd(u01.imag(), u01.imag(), u11.imag(), u11.imag());
-  for (uint64_t k = 0; k < n; ++k) {
-    const __m256d a = _mm256_loadu_pd(ad + 4 * k);
-    const __m256d a0_dup = _mm256_permute2f128_pd(a, a, 0x00);  // [a0, a0]
-    const __m256d a1_dup = _mm256_permute2f128_pd(a, a, 0x11);  // [a1, a1]
-    _mm256_storeu_pd(ad + 4 * k,
-                     _mm256_add_pd(ComplexMul(row_r, row_i, a0_dup),
-                                   ComplexMul(col_r, col_i, a1_dup)));
+  if (step == 1) {
+    // Target 0: one full (a0, a1) pair per 256-bit register. Lanes 0-1
+    // produce the new a0 with row (u00, u01), lanes 2-3 the new a1 with row
+    // (u10, u11).
+    const __m256d row_r =
+        _mm256_setr_pd(u[0].real(), u[0].real(), u[2].real(), u[2].real());
+    const __m256d row_i =
+        _mm256_setr_pd(u[0].imag(), u[0].imag(), u[2].imag(), u[2].imag());
+    const __m256d col_r =
+        _mm256_setr_pd(u[1].real(), u[1].real(), u[3].real(), u[3].real());
+    const __m256d col_i =
+        _mm256_setr_pd(u[1].imag(), u[1].imag(), u[3].imag(), u[3].imag());
+    for (uint64_t p = begin; p < end; ++p) {
+      if (((2 * p) & control_mask) != control_mask) continue;
+      const __m256d a = _mm256_loadu_pd(ad + 4 * p);
+      const __m256d a0_dup = _mm256_permute2f128_pd(a, a, 0x00);  // [a0, a0]
+      const __m256d a1_dup = _mm256_permute2f128_pd(a, a, 0x11);  // [a1, a1]
+      _mm256_storeu_pd(ad + 4 * p,
+                       _mm256_add_pd(ComplexMul(row_r, row_i, a0_dup),
+                                     ComplexMul(col_r, col_i, a1_dup)));
+    }
+    return;
+  }
+  const __m256d u00r = _mm256_set1_pd(u[0].real());
+  const __m256d u00i = _mm256_set1_pd(u[0].imag());
+  const __m256d u01r = _mm256_set1_pd(u[1].real());
+  const __m256d u01i = _mm256_set1_pd(u[1].imag());
+  const __m256d u10r = _mm256_set1_pd(u[2].real());
+  const __m256d u10i = _mm256_set1_pd(u[2].imag());
+  const __m256d u11r = _mm256_set1_pd(u[3].real());
+  const __m256d u11i = _mm256_set1_pd(u[3].imag());
+  // Same run walk and control split as Apply1QRangeScalar.
+  const uint64_t low_mask = step - 1;
+  const uint64_t high_ctrl = control_mask & ~low_mask;
+  const uint64_t low_ctrl = control_mask & low_mask;
+  for (uint64_t p = begin; p < end;) {
+    const uint64_t run = std::min(step - (p & low_mask), end - p);
+    const uint64_t base = ((p & ~low_mask) << 1) | (p & low_mask);
+    p += run;
+    if ((base & high_ctrl) != high_ctrl) continue;
+    Complex* lo = amp + base;
+    Complex* hi = lo + step;
+    if (low_ctrl != 0) {
+      for (uint64_t k = 0; k < run; ++k) {
+        if (((base + k) & low_ctrl) == low_ctrl) {
+          Apply1QPair(lo + k, hi + k, u);
+        }
+      }
+      continue;
+    }
+    double* lod = ad + 2 * base;
+    double* hid = lod + 2 * step;
+    uint64_t k = 0;
+    for (; k + 2 <= run; k += 2) {
+      const __m256d a0 = _mm256_loadu_pd(lod + 2 * k);
+      const __m256d a1 = _mm256_loadu_pd(hid + 2 * k);
+      _mm256_storeu_pd(lod + 2 * k,
+                       _mm256_add_pd(ComplexMul(u00r, u00i, a0),
+                                     ComplexMul(u01r, u01i, a1)));
+      _mm256_storeu_pd(hid + 2 * k,
+                       _mm256_add_pd(ComplexMul(u10r, u10i, a0),
+                                     ComplexMul(u11r, u11i, a1)));
+    }
+    // Odd run length (a chunk edge): one trailing pair, reference arithmetic.
+    if (k < run) Apply1QPair(lo + k, hi + k, u);
   }
 }
 
@@ -200,6 +231,26 @@ __attribute__((target("avx2"))) void DiagonalPhaseRunAvx2(Complex* amp,
   if (z < n) amp[z] *= std::polar(1.0, scale * phases[z]);
 }
 
+__attribute__((target("avx2"))) void PhasorRunAvx2(Complex* amp,
+                                                   const Complex* factors,
+                                                   uint64_t n) {
+  double* ad = reinterpret_cast<double*>(amp);
+  const double* fd = reinterpret_cast<const double*>(factors);
+  uint64_t z = 0;
+  for (; z + 2 <= n; z += 2) {
+    // The DiagonalPhaseRunAvx2 product with the factors loaded instead of
+    // evaluated: pr = [f0.re f0.re f1.re f1.re], pi = [f0.im f0.im ...].
+    const __m256d f = _mm256_loadu_pd(fd + 2 * z);
+    const __m256d pr = _mm256_movedup_pd(f);
+    const __m256d pi = _mm256_permute_pd(f, 0xF);
+    const __m256d a = _mm256_loadu_pd(ad + 2 * z);
+    const __m256d a_swap = _mm256_permute_pd(a, 0x5);
+    _mm256_storeu_pd(ad + 2 * z, _mm256_addsub_pd(_mm256_mul_pd(a, pr),
+                                                  _mm256_mul_pd(a_swap, pi)));
+  }
+  if (z < n) amp[z] *= factors[z];
+}
+
 __attribute__((target("avx2"))) void SwapRunAvx2(Complex* x, Complex* y,
                                                  uint64_t n) {
   double* xd = reinterpret_cast<double*>(x);
@@ -219,19 +270,18 @@ __attribute__((target("avx2"))) void SwapRunAvx2(Complex* x, Complex* y,
 // DetectedTier() never reports kAvx2 on these builds, so the *Avx2 symbols
 // are unreachable at runtime; forwarding to the scalar reference keeps every
 // caller link-clean without further #ifdefs.
-void Apply1QRunAvx2(Complex* lo, Complex* hi, uint64_t n, Complex u00,
-                    Complex u01, Complex u10, Complex u11) {
-  Apply1QRunScalar(lo, hi, n, u00, u01, u10, u11);
-}
-
-void Apply1QPairsRunAvx2(Complex* amp, uint64_t n, Complex u00, Complex u01,
-                         Complex u10, Complex u11) {
-  Apply1QPairsRunScalar(amp, n, u00, u01, u10, u11);
+void Apply1QRangeAvx2(Complex* amp, uint64_t step, uint64_t control_mask,
+                      uint64_t begin, uint64_t end, const Complex* u) {
+  Apply1QRangeScalar(amp, step, control_mask, begin, end, u);
 }
 
 void DiagonalPhaseRunAvx2(Complex* amp, const double* phases, double scale,
                           uint64_t n) {
   DiagonalPhaseRunScalar(amp, phases, scale, n);
+}
+
+void PhasorRunAvx2(Complex* amp, const Complex* factors, uint64_t n) {
+  PhasorRunScalar(amp, factors, n);
 }
 
 void SwapRunAvx2(Complex* x, Complex* y, uint64_t n) {

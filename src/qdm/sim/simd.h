@@ -53,20 +53,21 @@ const char* TierName(Tier tier);
 // then because DetectedTier() reports kScalar.
 // ---------------------------------------------------------------------------
 
-/// One-qubit gate over `n` contiguous amplitude pairs:
-///   lo[k] <- u00*lo[k] + u01*hi[k];  hi[k] <- u10*lo[k] + u11*hi[k].
-void Apply1QRunScalar(Complex* lo, Complex* hi, uint64_t n, Complex u00,
-                      Complex u01, Complex u10, Complex u11);
-void Apply1QRunAvx2(Complex* lo, Complex* hi, uint64_t n, Complex u00,
-                    Complex u01, Complex u10, Complex u11);
-
-/// One-qubit gate on target qubit 0, where the `n` pairs are adjacent in
-/// memory: (amp[2k], amp[2k+1]). The contiguous-run form above degenerates
-/// to length-1 runs there; this layout keeps full vector width instead.
-void Apply1QPairsRunScalar(Complex* amp, uint64_t n, Complex u00, Complex u01,
-                           Complex u10, Complex u11);
-void Apply1QPairsRunAvx2(Complex* amp, uint64_t n, Complex u00, Complex u01,
-                         Complex u10, Complex u11);
+/// One-qubit gate u = {u00, u01, u10, u11} (row-major) on the target bit
+/// `step` = 2^target, over the compact pair range [begin, end): pair p is the
+/// amplitude pair (i, i + step) whose index i is p with a zero bit inserted
+/// at the target. Pairs whose i lacks any bit of `control_mask` (the
+/// controls; never the target bit) are left untouched:
+///   lo <- u00*lo + u01*hi;  hi <- u10*lo + u11*hi.
+/// The kernel walks the groups itself (a leading partial group, full
+/// groups, a trailing partial group), so a serial gate is one call over
+/// [0, dimension / 2) and a chunked gate one call per chunk. On target 0 the
+/// pairs are adjacent in memory and run as interleaved pairs, which keeps
+/// full vector width where the contiguous runs would have length 1.
+void Apply1QRangeScalar(Complex* amp, uint64_t step, uint64_t control_mask,
+                        uint64_t begin, uint64_t end, const Complex* u);
+void Apply1QRangeAvx2(Complex* amp, uint64_t step, uint64_t control_mask,
+                      uint64_t begin, uint64_t end, const Complex* u);
 
 /// Diagonal phase over `n` contiguous amplitudes:
 ///   amp[z] <- amp[z] * exp(i * scale * phases[z]).
@@ -77,6 +78,15 @@ void DiagonalPhaseRunScalar(Complex* amp, const double* phases, double scale,
                             uint64_t n);
 void DiagonalPhaseRunAvx2(Complex* amp, const double* phases, double scale,
                           uint64_t n);
+
+/// Precomputed diagonal over `n` contiguous amplitudes:
+///   amp[z] <- amp[z] * factors[z].
+/// With factors[z] = std::polar(1.0, scale * phases[z]) this is the
+/// DiagonalPhaseRun* product bit for bit (the vector tier runs the same
+/// multiply/addsub sequence), minus the polar() evaluations, for callers
+/// that reapply one diagonal at a few recurring scales.
+void PhasorRunScalar(Complex* amp, const Complex* factors, uint64_t n);
+void PhasorRunAvx2(Complex* amp, const Complex* factors, uint64_t n);
 
 /// Exchanges `n` contiguous amplitudes between the disjoint runs x and y.
 void SwapRunScalar(Complex* x, Complex* y, uint64_t n);

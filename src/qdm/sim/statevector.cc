@@ -168,167 +168,51 @@ Statevector Statevector::FromAmplitudes(std::vector<Complex> amplitudes,
 }
 
 void Statevector::Apply1Q(const linalg::Matrix& u, int q) {
-  QDM_CHECK(u.rows() == 2 && u.cols() == 2);
   QDM_CHECK(q >= 0 && q < num_qubits_);
-  const size_t step = size_t{1} << q;
-  const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-  const bool use_simd = UseSimdKernels();
-  Complex* amp = amplitudes_.data();
-  if (UseSerialKernel()) {
-    if (!use_simd) {
-      SerialApply1Q(amplitudes_, step, u00, u01, u10, u11);
-      return;
-    }
-    // Serial + SIMD. q = 0 pairs are adjacent in memory (length-1 runs
-    // would waste the vector width), so they take the interleaved-pair
-    // kernel; every other target walks one aligned full run per group.
-    if (step == 1) {
-      simd::Apply1QPairsRunAvx2(amp, amplitudes_.size() >> 1, u00, u01, u10,
-                                u11);
-      return;
-    }
-    for (size_t group = 0; group < amplitudes_.size(); group += 2 * step) {
-      simd::Apply1QRunAvx2(amp + group, amp + group + step, step, u00, u01,
-                           u10, u11);
-    }
-    return;
-  }
-  // Parallel branch: pair p enumerates the amplitude pairs (i, i + step)
-  // with the target bit clear/set; pairs are disjoint, so chunks of the
-  // pair range never share an element. Each chunk is walked as leading
-  // partial group / full groups / trailing partial group to keep the inner
-  // loops contiguous. Identical arithmetic per pair -> bit-identical to the
-  // serial branch (pinned by statevector_parallel_test). For q = 0 a chunk
-  // of the pair range IS a contiguous amplitude range, so the SIMD path
-  // hands whole chunks to the interleaved-pair kernel.
-  if (use_simd && step == 1) {
-    RunChunksParallel(amplitudes_.size() >> 1,
-                      [&](uint64_t begin, uint64_t end) {
-                        simd::Apply1QPairsRunAvx2(amp + 2 * begin, end - begin,
-                                                  u00, u01, u10, u11);
-                      });
-    return;
-  }
-  const uint64_t low_mask = step - 1;
-  const auto apply_run = [&](uint64_t pair, uint64_t run) {
-    Complex* lo = amp + (((pair & ~low_mask) << 1) | (pair & low_mask));
-    Complex* hi = lo + step;
-    if (use_simd) {
-      simd::Apply1QRunAvx2(lo, hi, run, u00, u01, u10, u11);
-      return;
-    }
-    for (uint64_t k = 0; k < run; ++k) {
-      const Complex a0 = lo[k];
-      const Complex a1 = hi[k];
-      lo[k] = u00 * a0 + u01 * a1;
-      hi[k] = u10 * a0 + u11 * a1;
-    }
-  };
-  RunChunksParallel(amplitudes_.size() >> 1, [&](uint64_t begin, uint64_t end) {
-    uint64_t p = begin;
-    if ((p & low_mask) != 0) {  // Leading partial group.
-      const uint64_t run = std::min(step - (p & low_mask), end - p);
-      apply_run(p, run);
-      p += run;
-    }
-    for (; p + step <= end; p += step) apply_run(p, step);  // Full groups.
-    if (p < end) apply_run(p, end - p);  // Trailing partial group.
-  });
+  ApplyPairKernel(/*control_mask=*/0, q, u);
 }
 
 void Statevector::ApplyControlled1Q(const std::vector<int>& controls,
                                     int target,
                                     const linalg::Matrix& u) {
-  QDM_CHECK(u.rows() == 2 && u.cols() == 2);
   QDM_CHECK(target >= 0 && target < num_qubits_);
   uint64_t control_mask = 0;
   for (int c : controls) {
     QDM_CHECK(c >= 0 && c < num_qubits_ && c != target);
     control_mask |= uint64_t{1} << c;
   }
+  ApplyPairKernel(control_mask, target, u);
+}
+
+void Statevector::ApplyPairKernel(uint64_t control_mask, int target,
+                                  const linalg::Matrix& u) {
+  QDM_CHECK(u.rows() == 2 && u.cols() == 2);
   const size_t step = size_t{1} << target;
-  const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
+  const Complex m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
   const bool use_simd = UseSimdKernels();
-  // Split the control mask at the target: every index in a contiguous run
-  // shares its bits >= target (runs never cross a group boundary), so the
-  // above-target controls are tested ONCE per run — a failing run (the
-  // common case for multi-controlled Grover/QPE gates) retires in one
-  // compare instead of `run` element tests. Only below-target control bits
-  // still vary inside a run; when there are none, the run body is the
-  // unconditional Apply1Q arithmetic (and vectorizable).
-  const uint64_t low_ctrl = control_mask & (step - 1);
-  const uint64_t high_ctrl = control_mask & ~(step - 1);
+  const uint64_t pairs = amplitudes_.size() >> 1;
   Complex* amp = amplitudes_.data();
   if (UseSerialKernel()) {
-    if (!use_simd) {
-      SerialApplyControlled1Q(amplitudes_, step, control_mask, u00, u01, u10,
-                              u11);
-      return;
-    }
-    // Serial + SIMD: group-skip walk; unconditional groups take the vector
-    // kernel (step 1 has no contiguous runs to vectorize — reference loop).
-    if (step == 1) {
-      SerialApplyControlled1Q(amplitudes_, step, control_mask, u00, u01, u10,
-                              u11);
-      return;
-    }
-    for (size_t group = 0; group < amplitudes_.size(); group += 2 * step) {
-      if ((group & high_ctrl) != high_ctrl) continue;
-      if (low_ctrl == 0) {
-        simd::Apply1QRunAvx2(amp + group, amp + group + step, step, u00, u01,
-                             u10, u11);
-        continue;
-      }
-      for (size_t i = group; i < group + step; ++i) {
-        if ((i & low_ctrl) != low_ctrl) continue;
-        const Complex a0 = amp[i];
-        const Complex a1 = amp[i + step];
-        amp[i] = u00 * a0 + u01 * a1;
-        amp[i + step] = u10 * a0 + u11 * a1;
-      }
+    if (use_simd) {
+      simd::Apply1QRangeAvx2(amp, step, control_mask, 0, pairs, m);
+    } else if (control_mask == 0) {
+      SerialApply1Q(amplitudes_, step, m[0], m[1], m[2], m[3]);
+    } else {
+      SerialApplyControlled1Q(amplitudes_, step, control_mask, m[0], m[1],
+                              m[2], m[3]);
     }
     return;
   }
-  // Parallel branch: same partial/full/partial group walk as Apply1Q with
-  // the per-run control split above; the control mask excludes the target
-  // bit, so testing the run base covers every element of the run.
-  const uint64_t low_mask = step - 1;
-  const auto apply_run = [&](uint64_t pair, uint64_t run) {
-    const uint64_t base = ((pair & ~low_mask) << 1) | (pair & low_mask);
-    if ((base & high_ctrl) != high_ctrl) return;
-    if (low_ctrl == 0) {
-      if (use_simd && step > 1) {
-        simd::Apply1QRunAvx2(amp + base, amp + base + step, run, u00, u01,
-                             u10, u11);
-        return;
-      }
-      for (uint64_t k = 0; k < run; ++k) {
-        const uint64_t i = base + k;
-        const Complex a0 = amp[i];
-        const Complex a1 = amp[i + step];
-        amp[i] = u00 * a0 + u01 * a1;
-        amp[i + step] = u10 * a0 + u11 * a1;
-      }
-      return;
+  // Parallel branch: chunks of the pair range never share an element (each
+  // pair is one (i, i + step) couple), and each chunk is one range-kernel
+  // call that walks its own partial groups. Identical arithmetic per pair,
+  // so bit-identical to the serial branch (statevector_parallel_test).
+  RunChunksParallel(pairs, [&](uint64_t begin, uint64_t end) {
+    if (use_simd) {
+      simd::Apply1QRangeAvx2(amp, step, control_mask, begin, end, m);
+    } else {
+      simd::Apply1QRangeScalar(amp, step, control_mask, begin, end, m);
     }
-    for (uint64_t k = 0; k < run; ++k) {
-      const uint64_t i = base + k;
-      if ((i & low_ctrl) != low_ctrl) continue;
-      const Complex a0 = amp[i];
-      const Complex a1 = amp[i + step];
-      amp[i] = u00 * a0 + u01 * a1;
-      amp[i + step] = u10 * a0 + u11 * a1;
-    }
-  };
-  RunChunksParallel(amplitudes_.size() >> 1, [&](uint64_t begin, uint64_t end) {
-    uint64_t p = begin;
-    if ((p & low_mask) != 0) {  // Leading partial group.
-      const uint64_t run = std::min(step - (p & low_mask), end - p);
-      apply_run(p, run);
-      p += run;
-    }
-    for (; p + step <= end; p += step) apply_run(p, step);  // Full groups.
-    if (p < end) apply_run(p, end - p);  // Trailing partial group.
   });
 }
 
@@ -523,6 +407,23 @@ void Statevector::ApplyDiagonalPhase(const std::vector<double>& phases,
     for (uint64_t z = begin; z < end; ++z) {
       amp[z] *= std::polar(1.0, scale * phase[z]);
     }
+  });
+}
+
+void Statevector::ApplyPhasors(const std::vector<Complex>& factors) {
+  QDM_CHECK_EQ(factors.size(), amplitudes_.size())
+      << "ApplyPhasors: " << factors.size()
+      << " factors must equal the state dimension " << amplitudes_.size();
+  const Complex* factor = factors.data();
+  Complex* amp = amplitudes_.data();
+  const auto run =
+      UseSimdKernels() ? simd::PhasorRunAvx2 : simd::PhasorRunScalar;
+  if (UseSerialKernel()) {
+    run(amp, factor, amplitudes_.size());
+    return;
+  }
+  RunChunksParallel(amplitudes_.size(), [&](uint64_t begin, uint64_t end) {
+    run(amp + begin, factor + begin, end - begin);
   });
 }
 

@@ -140,6 +140,14 @@ class Statevector {
   void ApplyDiagonalPhase(const std::vector<double>& phases,
                           double scale = 1.0);
 
+  /// Same operation from precomputed unit phasors (length must equal
+  /// dimension(); checked): multiplies amplitude z by factors[z]. With
+  /// factors[z] = std::polar(1.0, scale * phases[z]) the result is
+  /// bit-identical to ApplyDiagonalPhase(phases, scale) without its 2^n
+  /// polar() evaluations — for loops that revisit a few scales of one
+  /// diagonal (the QAOA objective, see algo::QaoaEvaluator).
+  void ApplyPhasors(const std::vector<Complex>& factors);
+
   /// Applies one circuit gate / a whole circuit (circuit must be fully bound).
   void ApplyGate(const circuit::Gate& gate);
   void ApplyCircuit(const circuit::Circuit& c);
@@ -194,6 +202,12 @@ class Statevector {
   /// True when the kernel inner loops should dispatch to the vector run
   /// primitives (sim::simd) instead of the scalar reference loops.
   bool UseSimdKernels() const;
+
+  /// Shared body of Apply1Q and ApplyControlled1Q (control_mask 0): one
+  /// range-kernel call per gate on the serial SIMD path and one per chunk on
+  /// the parallel path; the serial scalar path keeps the reference loops.
+  void ApplyPairKernel(uint64_t control_mask, int target,
+                       const linalg::Matrix& u);
 
   /// Kernel fan-out seam: runs body(begin, end) over a partition of [0, n)
   /// into contiguous chunks dispatched over the process-wide

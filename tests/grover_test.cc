@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "qdm/algo/grover.h"
 #include "qdm/common/rng.h"
@@ -201,6 +202,54 @@ TEST(CountingOracleTest, PeekDoesNotCharge) {
   EXPECT_EQ(oracle.query_count(), 1);
   oracle.ResetCount();
   EXPECT_EQ(oracle.query_count(), 0);
+}
+
+// The oracle's mark vector changes how often the predicate runs, not what
+// the search does: argmin, minimum and query count per seed are pinned to
+// the values of the per-flip predicate evaluation it replaced.
+TEST(DurrHoyerTest, ResultsAndQueryCountsArePinned) {
+  struct Pinned {
+    int n;
+    uint64_t seed;
+    uint64_t argmin;
+    int64_t oracle_queries;
+  };
+  const Pinned kPinned[] = {
+      {4, 11, 4, 131},    {6, 12, 26, 232},   {8, 13, 136, 337},
+      {8, 14, 92, 382},   {10, 15, 453, 694}, {10, 16, 336, 610},
+  };
+  for (const Pinned& pinned : kPinned) {
+    Rng rng(pinned.seed);
+    std::vector<double> f(uint64_t{1} << pinned.n);
+    for (double& v : f) v = rng.Uniform(-50, 50);
+    const MinimumResult r =
+        DurrHoyerMinimum(pinned.n, [&](uint64_t z) { return f[z]; }, &rng);
+    EXPECT_EQ(r.argmin, pinned.argmin) << "n=" << pinned.n;
+    EXPECT_EQ(r.minimum, f[r.argmin]) << "n=" << pinned.n;
+    EXPECT_EQ(r.oracle_queries, pinned.oracle_queries) << "n=" << pinned.n;
+  }
+}
+
+TEST(CountingOracleTest, PhaseFlipEvaluatesThePredicateOncePerState) {
+  int calls = 0;
+  CountingOracle oracle([&](uint64_t x) {
+    ++calls;
+    return x % 3 == 0;
+  });
+  sim::Statevector sv(4);
+  const std::vector<Complex> initial(16, Complex(0.25, -0.25));
+  sv.mutable_amplitudes() = initial;
+  for (int flip = 0; flip < 5; ++flip) oracle.ApplyPhaseFlip(&sv);
+  EXPECT_EQ(calls, 16);
+  EXPECT_EQ(oracle.query_count(), 5);
+  // An odd number of flips negates exactly the marked states.
+  for (uint64_t z = 0; z < 16; ++z) {
+    EXPECT_EQ(sv.amplitude(z), z % 3 == 0 ? -initial[z] : initial[z]) << z;
+  }
+  // Peek and Query still call the predicate itself.
+  EXPECT_TRUE(oracle.Query(3));
+  EXPECT_EQ(calls, 17);
+  EXPECT_EQ(oracle.query_count(), 6);
 }
 
 }  // namespace

@@ -329,6 +329,42 @@ TEST(NetTaxonomyTest, UnknownSolverIs404WithTheExactRegistryMessage) {
   EXPECT_EQ(raw, sync.status());
 }
 
+// parallel_tempering with num_replicas 1 passes decode and option
+// validation; the backend must answer InvalidArgument, alone and as a race
+// member, and the daemon must stay up for the next request.
+TEST(NetTaxonomyTest, SingleReplicaParallelTemperingDoesNotAbortTheDaemon) {
+  std::unique_ptr<QdmServer> server = StartServer(2);
+  QdmClient client(server->port());
+  const Qubo qubo = MakeQubo(3, 5);
+  SolverOptions options = FastOptions(5);
+  options.num_replicas = 1;
+
+  auto sync = anneal::SolveWith("parallel_tempering", qubo, options);
+  ASSERT_FALSE(sync.ok());
+  EXPECT_EQ(sync.status().code(), StatusCode::kInvalidArgument);
+  auto id = client.Submit("parallel_tempering", qubo, options);
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto remote = client.Wait(*id);
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status(), sync.status());
+  ASSERT_TRUE(client.Healthz().ok());
+
+  auto sync_race = anneal::SolveWith("race:parallel_tempering+tabu_search",
+                                     qubo, options);
+  auto race_id =
+      client.SubmitRace({"parallel_tempering", "tabu_search"}, qubo, options);
+  ASSERT_TRUE(race_id.ok()) << race_id.status();
+  auto remote_race = client.Wait(*race_id);
+  ASSERT_EQ(remote_race.ok(), sync_race.ok()) << remote_race.status();
+  if (sync_race.ok()) {
+    ASSERT_EQ(remote_race->size(), 1u);
+    EXPECT_TRUE(SampleSetsEqual((*remote_race)[0], *sync_race));
+  } else {
+    EXPECT_EQ(remote_race.status(), sync_race.status());
+  }
+  EXPECT_TRUE(client.Healthz().ok());
+}
+
 TEST(NetTaxonomyTest, UnknownJobIdIs404WithTheServiceMessage) {
   std::unique_ptr<QdmServer> server = StartServer(1);
   QdmClient client(server->port());

@@ -334,6 +334,85 @@ TEST(StatevectorParallelTest, SimdPartialRunsAndOddChunkBoundaries) {
   }
 }
 
+/// The control sets the range kernel distinguishes for target q on n
+/// qubits: none, one below the target, one above, and both at once.
+std::vector<std::vector<int>> ControlSets(int n, int q) {
+  std::vector<std::vector<int>> sets = {{}};
+  if (q > 0) sets.push_back({0});
+  if (q < n - 1) sets.push_back({n - 1});
+  if (q > 0 && q < n - 1) sets.push_back({0, n - 1});
+  return sets;
+}
+
+/// Apply1Q for an empty control set, ApplyControlled1Q otherwise.
+void ApplyMaybeControlled(Statevector* sv, const std::vector<int>& controls,
+                          int q, const linalg::Matrix& u) {
+  if (controls.empty()) {
+    sv->Apply1Q(u, q);
+  } else {
+    sv->ApplyControlled1Q(controls, q, u);
+  }
+}
+
+std::string GateContext(int n, int q, const std::vector<int>& controls) {
+  std::string context =
+      "n=" + std::to_string(n) + " q=" + std::to_string(q) + " controls={";
+  for (int c : controls) context += std::to_string(c) + ",";
+  return context + "}";
+}
+
+// The serial SIMD branch makes one range-kernel call per gate, walking
+// every group itself; it must equal the serial scalar reference loops for
+// every target, with and without controls on either side of the target.
+TEST(StatevectorParallelTest, SerialSimdRangeKernelMatchesScalarEveryTarget) {
+  const linalg::Matrix u = SingleQubitMatrix(GateKind::kU3, {0.7, 0.3, 1.1});
+  for (int n = 1; n <= 10; ++n) {
+    Rng rng(0x5EED + n);
+    const Statevector initial = RandomState(n, &rng);
+    for (int q = 0; q < n; ++q) {
+      for (const std::vector<int>& controls : ControlSets(n, q)) {
+        Statevector scalar = initial;
+        scalar.set_execution_config({1, 0, SimdMode::kScalar});
+        Statevector simd = initial;
+        simd.set_execution_config({1, 0, SimdMode::kSimd});
+        ApplyMaybeControlled(&scalar, controls, q, u);
+        ApplyMaybeControlled(&simd, controls, q, u);
+        ExpectBitIdentical(scalar, simd,
+                           "serial simd " + GateContext(n, q, controls));
+      }
+    }
+  }
+}
+
+// The parallel branch makes one range-kernel call per chunk. Thread counts
+// that do not divide the pair range start and end chunks inside groups, so
+// each call walks a leading and a trailing partial group.
+TEST(StatevectorParallelTest, ParallelRangeKernelMatchesOnOddChunkSplits) {
+  const linalg::Matrix u = SingleQubitMatrix(GateKind::kU3, {1.3, -0.4, 0.6});
+  for (int n = 1; n <= 10; ++n) {
+    Rng rng(0xD1CE + n);
+    const Statevector initial = RandomState(n, &rng);
+    for (int q = 0; q < n; ++q) {
+      for (const std::vector<int>& controls : ControlSets(n, q)) {
+        Statevector reference = initial;
+        reference.set_execution_config(SerialConfig());
+        ApplyMaybeControlled(&reference, controls, q, u);
+        for (int threads : {3, 5, 7}) {
+          for (SimdMode mode : kSimdModes) {
+            Statevector sv = initial;
+            sv.set_execution_config(ParallelConfig(threads, mode));
+            ApplyMaybeControlled(&sv, controls, q, u);
+            ExpectBitIdentical(reference, sv,
+                               "odd chunks " + GateContext(n, q, controls) +
+                                   " @ " + std::to_string(threads) +
+                                   " threads / " + SimdModeName(mode));
+          }
+        }
+      }
+    }
+  }
+}
+
 // ExecutionConfig::simd resolves instance -> process default -> detection,
 // and SimdMode::kScalar always lands on the scalar tier.
 TEST(StatevectorParallelTest, SimdResolutionInstanceThenGlobalThenDetected) {
